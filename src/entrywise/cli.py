@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit status: 0 on a completed run (witness-found outcomes included), 2 on
-usage errors (argparse), 3 on precondition violations (bad matrix, non-PSD
-input, inconsistent dimensions).  Reports go to stdout and are byte-for-byte
-reproducible for a fixed seed; runtime and diagnostics go to stderr.
+usage errors (argparse), 3 on precondition violations (bad or unreadable
+matrix file, non-PSD input, inconsistent dimensions).  Reports go to stdout
+and are byte-for-byte reproducible for a fixed seed; runtime and diagnostics
+go to stderr.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     report.runtime_s = time.perf_counter() - start

@@ -47,16 +47,6 @@ def random_gaussian_rational(rng: random.Random, nonzero: bool = False) -> Gauss
             return value
 
 
-def random_fraction_vector(rng: random.Random, n: int, distinct: bool = False):
-    out: list[Fraction] = []
-    while len(out) < n:
-        candidate = random_fraction(rng)
-        if distinct and candidate in out:
-            continue
-        out.append(candidate)
-    return out
-
-
 def random_gaussian_rational_vector(rng: random.Random, n: int, distinct: bool = False):
     out: list[GaussianRational] = []
     while len(out) < n:
@@ -67,29 +57,17 @@ def random_gaussian_rational_vector(rng: random.Random, n: int, distinct: bool =
     return out
 
 
-def wishart_disc(N: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Complex Wishart sample rescaled so entries lie in the closed disc |z| <= rho."""
-    B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    A = B @ B.conj().T
-    scale = np.max(np.abs(A))
-    return A * (rho / scale)
+def _near_corner_vectors(N: int, rho, deltas=NEAR_CORNER_DELTAS) -> np.ndarray:
+    """Rows u_k = sqrt(rho) (1 - delta k / N), k = 1..N, one per delta."""
+    root = np.sqrt(float(rho))
+    return np.array(
+        [[root * (1.0 - delta * k / N) for k in range(1, N + 1)] for delta in deltas]
+    )
 
 
-def rank_one_disc(N: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Real rank-one u u^T with u drawn from the open cube (0, sqrt(rho))^N."""
-    u = rng.uniform(0.0, np.sqrt(float(rho)), size=N)
-    while np.any(u == 0.0):
-        u = rng.uniform(0.0, np.sqrt(float(rho)), size=N)
-    return np.outer(u, u)
-
-
-def correlation_disc(N: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Scaled correlation matrix: unit-diagonal Wishart normalization times rho."""
-    B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    A = B @ B.conj().T
-    d = np.sqrt(np.real(np.diag(A)))
-    C = A / np.outer(d, d)
-    return rho * C
+def _outer_rows(U: np.ndarray) -> np.ndarray:
+    """Stack of plain outer products u u^T, one per row of U."""
+    return U[:, :, None] * U[:, None, :]
 
 
 def near_corner_rank_one(N: int, rho: float, deltas=NEAR_CORNER_DELTAS):
@@ -98,10 +76,72 @@ def near_corner_rank_one(N: int, rho: float, deltas=NEAR_CORNER_DELTAS):
     Coordinates are pairwise distinct and approach the corner sqrt(rho)*(1,..,1)
     as delta -> 0; these witness near-extremal behaviour of the thresholds.
     """
-    root = np.sqrt(float(rho))
-    for delta in deltas:
-        u = np.array([root * (1.0 - delta * k / N) for k in range(1, N + 1)])
+    for u in _near_corner_vectors(N, rho, deltas):
         yield np.outer(u, u)
+
+
+SAMPLE_BATCH = 1024  # largest block of random draws built at once
+
+
+def psd_disc_batches(
+    N: int,
+    rho: float,
+    count: int,
+    rng: np.random.Generator,
+    include_near_corner: bool = True,
+):
+    """The stream of :func:`psd_disc_samples` as stacked blocks.
+
+    Each item is a list of ``(positions, stack)`` pairs covering consecutive
+    stream positions: ``stack`` is a ``(k, N, N)`` array of one sample kind
+    (so one dtype) and ``positions[i]`` is the index of ``stack[i]`` in the
+    stream.  The near-corner samples form the first block; the random draws
+    follow in blocks of at most ``SAMPLE_BATCH``, split by kind (complex
+    Wishart rescaled into the disc, real rank-one from the open cube
+    (0, sqrt(rho))^N, complex correlation matrix times rho), the kind of
+    position p being p mod 3.  The generator makes the same ``rng`` calls in
+    the same order as drawing the samples one at a time; each kind's
+    matrices are then built in one vectorised step.
+    """
+    rho = float(rho)
+    root = np.sqrt(rho)
+    start = 0
+    if include_near_corner:
+        U = _near_corner_vectors(N, rho)[:count]
+        if len(U):
+            yield [(np.arange(len(U)), _outer_rows(U))]
+        start = len(U)
+    while start < count:
+        stop = min(count, start + SAMPLE_BATCH)
+        positions = np.arange(start, stop)
+        real, imag, cube = [], [], []
+        for p in range(start, stop):
+            if p % 3 == 1:
+                u = rng.uniform(0.0, root, size=N)
+                while np.any(u == 0.0):
+                    u = rng.uniform(0.0, root, size=N)
+                cube.append(u)
+            else:
+                real.append(rng.standard_normal((N, N)))
+                imag.append(rng.standard_normal((N, N)))
+        block = []
+        if real:
+            B = np.array(real) + 1j * np.array(imag)
+            A = B @ B.conj().swapaxes(1, 2)
+            gaussian = positions[positions % 3 != 1]
+            wishart = gaussian % 3 == 0
+            W = A[wishart]
+            if len(W):
+                scale = np.max(np.abs(W), axis=(1, 2))
+                block.append((gaussian[wishart], W * (rho / scale)[:, None, None]))
+            C = A[~wishart]
+            if len(C):
+                d = np.sqrt(np.real(np.diagonal(C, axis1=1, axis2=2)))
+                block.append((gaussian[~wishart], rho * (C / _outer_rows(d))))
+        if cube:
+            block.append((positions[positions % 3 == 1], _outer_rows(np.array(cube))))
+        yield block
+        start = stop
 
 
 def psd_disc_samples(
@@ -115,20 +155,14 @@ def psd_disc_samples(
 
     Deterministic near-corner rank-one samples come first (they are the hard
     cases for sharpness), then a seeded cycle of Wishart / rank-one /
-    correlation draws.
+    correlation draws.  The samples are built in batches by
+    :func:`psd_disc_batches` and yielded one at a time in draw order.
     """
-    emitted = 0
-    if include_near_corner:
-        for A in near_corner_rank_one(N, rho):
-            if emitted >= count:
-                return
-            yield A
-            emitted += 1
-    kinds = (wishart_disc, rank_one_disc, correlation_disc)
-    while emitted < count:
-        sampler = kinds[emitted % len(kinds)]
-        yield sampler(N, rho, rng)
-        emitted += 1
+    for block in psd_disc_batches(N, rho, count, rng, include_near_corner):
+        positions = np.concatenate([p for p, _ in block])
+        matrices = [A for _, stack in block for A in stack]
+        for i in np.argsort(positions):
+            yield matrices[i]
 
 
 def random_separated_complex(

@@ -224,9 +224,18 @@ class SubspaceBasis:
 
 
 def simultaneous_kernel(A, tol: float = 1e-9) -> SubspaceBasis:
-    """Kernel of sum_{j=0}^{N-1} A^(oj), the simultaneous kernel of all Hadamard powers."""
+    """Kernel of sum_{j=0}^{N-1} A^(oj), the simultaneous kernel of all Hadamard powers.
+
+    The joint kernel does not depend on the scale of A, so A is first divided
+    by its largest entry modulus: the cut-off ``tol`` then stays relative to
+    the spectrum of every power, whose eigenvalues would otherwise grow like
+    max|a|^(N-1).
+    """
     H = _validate_psd_input(A, tol)
     N = H.shape[0]
+    peak = np.max(np.abs(H))
+    if peak > 0:
+        H = H / peak
     total = np.ones((N, N), dtype=complex)
     power = np.ones((N, N), dtype=complex)
     for _ in range(1, N):

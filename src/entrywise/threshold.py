@@ -16,7 +16,7 @@ import numpy as np
 from .hadamard import entrywise_poly, h_matrix, hadamard_power
 from .partitions import generalized_binomial, hook_partition
 from .psd import psd_check
-from .samplers import psd_disc_samples
+from .samplers import psd_disc_batches
 from .schur import schur_eval
 
 BOUNDARY_WIDTH = 1e-12
@@ -38,14 +38,6 @@ class CoefficientTuple:
 
     def __len__(self) -> int:
         return len(self.c)
-
-
-@dataclass
-class ThresholdReport:
-    constant: float
-    partials: tuple
-    verdict: Optional[str] = None
-    witness: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -104,12 +96,17 @@ def partial_constants(c, M: int, N: int, rho) -> tuple:
     )
 
 
-def admissible(c, M: int, N: int, rho, cprime=None) -> bool:
-    """True iff f = sum c_j z^j + cprime z^M preserves positivity on the disc class."""
+def _cprime(c, cprime):
     if cprime is None:
         if not isinstance(c, CoefficientTuple) or c.cprime is None:
             raise ValueError("cprime required, either inline or via CoefficientTuple")
         cprime = c.cprime
+    return cprime
+
+
+def admissible(c, M: int, N: int, rho, cprime=None) -> bool:
+    """True iff f = sum c_j z^j + cprime z^M preserves positivity on the disc class."""
+    cprime = _cprime(c, cprime)
     if cprime >= 0:
         return True
     return cprime >= -1 / threshold_constant(c, M, N, rho)
@@ -121,12 +118,19 @@ def admissible_verdict(c, M: int, N: int, rho, cprime=None) -> str:
     Values of cprime within 1e-12 (relative) of the exact threshold -1/C are
     labeled boundary rather than forced to a side.
     """
-    if cprime is None:
-        cprime = c.cprime
+    cprime = _cprime(c, cprime)
     bound = -1 / threshold_constant(c, M, N, rho)
     if abs(cprime - bound) <= BOUNDARY_WIDTH * max(1.0, abs(bound)):
         return "boundary"
     return "admissible" if admissible(c, M, N, rho, cprime) else "inadmissible"
+
+
+def _relative_min_eigenvalues(F: np.ndarray, tol: float):
+    """Smallest eigenvalue of the Hermitian part of each F[i], relative to
+    max(1, spectral radius), and whether it falls below -tol on that scale."""
+    w = np.linalg.eigvalsh((F + F.conj().swapaxes(-1, -2)) / 2)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    return w[:, 0] / scale, w[:, 0] < -tol * scale
 
 
 def preserves_positivity_check(
@@ -140,25 +144,29 @@ def preserves_positivity_check(
     """Sample PSD matrices with entries in the closed disc and test f[A] >= 0.
 
     Deterministic near-corner rank-one samples run first, then a seeded
-    mixture of Wishart, rank-one, and correlation draws.  Returns the first
-    violating matrix as witness if any.
+    mixture of Wishart, rank-one, and correlation draws.  Samples are drawn
+    and evaluated in blocks (one entrywise evaluation and one stacked
+    eigen-solve per sample kind), in the same draw order as one at a time;
+    the verdict reports the first violating matrix of that order as witness,
+    if any, with ``samples_checked`` counting it and the samples before it.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     worst = np.inf
-    checked = 0
-    for A in psd_disc_samples(N, rho, samples, rng):
-        F = entrywise_poly(f, A)
-        F = np.asarray(F)
-        w = np.linalg.eigvalsh((F + F.conj().T) / 2)
-        scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-        rel = float(w[0]) / scale
-        worst = min(worst, rel)
-        checked += 1
-        if w[0] < -tol * scale:
-            return PositivityVerdict(False, A, checked, rel)
-    return PositivityVerdict(True, None, checked, worst)
+    for block in psd_disc_batches(N, rho, samples, rng):
+        first = None  # (position, matrix, relative eigenvalue)
+        for positions, stack in block:
+            rel, bad = _relative_min_eigenvalues(np.asarray(entrywise_poly(f, stack)), tol)
+            if bad.any():
+                i = int(np.argmax(bad))
+                if first is None or positions[i] < first[0]:
+                    first = (int(positions[i]), stack[i], float(rel[i]))
+            worst = min(worst, float(np.min(rel)))
+        if first is not None:
+            position, A, rel_first = first
+            return PositivityVerdict(False, A.copy(), position + 1, rel_first)
+    return PositivityVerdict(True, None, samples, worst)
 
 
 def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
@@ -193,6 +201,9 @@ def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
     return float(best)
 
 
+HORN_MAX_CHUNK = 4096  # candidates evaluated at once by horn_necessity_witness
+
+
 def horn_necessity_witness(
     f: Mapping[int, float],
     N: int,
@@ -205,39 +216,37 @@ def horn_necessity_witness(
 
     When one of the first N nonzero coefficients of f is negative some
     rank-one u u^T with u in (0, sqrt(rho))^N must violate f[A] >= 0; the
-    search sweeps geometric directions u_k = x q^(k-1) and then random draws.
-    Returns the witness matrix or None if the budget is exhausted.
+    search sweeps 100 geometric directions u_k = x q^(k-1) and then random
+    draws from the open cube, ``budget`` candidates in all.  Candidates are
+    evaluated in chunks that start small and double up to a fixed cap, with
+    one stacked eigen-solve per chunk; the order of candidates and the draw
+    stream are those of a one-at-a-time search, so the witness is the first
+    violating candidate of that order.  Returns the witness matrix or None
+    if the budget is exhausted.
     """
     root = float(rho) ** 0.5
-    tried = 0
-
-    def violates(u):
-        A = np.outer(u, u)
-        F = np.asarray(entrywise_poly(f, A), dtype=float)
-        w = np.linalg.eigvalsh((F + F.T) / 2)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        return w[0] < -tol * scale, A
-
     xs = [root * s for s in (0.999, 0.9, 0.7, 0.5, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3)]
     qs = (0.999, 0.95, 0.9, 0.8, 0.6, 0.4, 0.2, 0.1, 0.05, 0.01)
-    for x in xs:
-        for q in qs:
-            if tried >= budget:
-                return None
-            u = np.array([x * q**k for k in range(N)])
-            tried += 1
-            bad, A = violates(u)
-            if bad:
-                return A
-    rng = np.random.default_rng(seed)
+    sweep = [(x, q) for x in xs for q in qs]
+    rng = None
+    tried = 0
+    size = 1  # doubles per chunk, so a witness found at once costs one solve
     while tried < budget:
-        u = rng.uniform(0.0, root, size=N)
-        if np.any(u == 0.0):
-            continue
-        tried += 1
-        bad, A = violates(u)
-        if bad:
-            return A
+        k = min(size, budget - tried)
+        if tried < len(sweep):
+            U = np.array([[x * q**j for j in range(N)] for x, q in sweep[tried : tried + k]])
+        else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
+            U = rng.uniform(0.0, root, size=(k, N))
+            U = U[np.all(U != 0.0, axis=1)]
+        A = U[:, :, None] * U[:, None, :]
+        F = np.asarray(entrywise_poly(f, A), dtype=float)
+        _, bad = _relative_min_eigenvalues(F, tol)
+        if bad.any():
+            return A[np.argmax(bad)].copy()
+        tried += len(U)
+        size = min(2 * size, HORN_MAX_CHUNK)
     return None
 
 

@@ -176,6 +176,15 @@ def test_stratify_non_psd_exit_3(capsys, tmp_path):
     assert "eigenvalue" in err
 
 
+def test_missing_matrix_file_exit_3(capsys, tmp_path):
+    missing = tmp_path / "absent.json"
+    code, out, err = run(capsys, "rayleigh", "--c", "1,1", "--M", "2", "--matrix", str(missing))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "absent.json" in err
+    assert "Traceback" not in err
+
+
 def test_verify_identity_clean(capsys):
     code, rep = run_json(
         capsys, "verify-identity", "--which", "pencil", "--max-n", "2",

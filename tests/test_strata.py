@@ -130,6 +130,17 @@ def test_simultaneous_kernel_matches_block_kernel():
         assert subspace_max_angle(K.basis, Kpi.basis) <= 1e-8
 
 
+def test_simultaneous_kernel_independent_of_entry_scale():
+    # entries here exceed 1 in modulus; the joint kernel must not see the scale
+    sizes = (1, 2, 4, 4, 4, 4, 4, 1)
+    starts = np.cumsum((0,) + sizes)
+    pi = IndexPartition(tuple(tuple(range(a, a + n)) for a, n in zip(starts, sizes)))
+    assert pi.size == 24 and kernel_for_partition(pi).dim == 16
+    for seed in range(5):
+        A = generate_in_stratum(pi, GroupTag.TRIVIAL, seed=seed)
+        assert simultaneous_kernel(A).dim == 16
+
+
 def test_simultaneous_kernel_full_rank_pd():
     rng = np.random.default_rng(7)
     B = rng.standard_normal((4, 4))

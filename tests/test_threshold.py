@@ -110,6 +110,13 @@ def test_admissible_from_tuple_field():
         admissible(CoefficientTuple((ONE, ONE)), 2, 2, 1)
 
 
+def test_verdict_without_cprime_is_value_error():
+    assert admissible_verdict(CoefficientTuple((ONE, ONE), cprime=-0.1), 2, 2, 1) == "admissible"
+    for c in ((1, 1), CoefficientTuple((ONE, ONE))):
+        with pytest.raises(ValueError, match="cprime required"):
+            admissible_verdict(c, 2, 2, 1)
+
+
 def test_empirical_sharpness_desk_case():
     est = empirical_sharpness((1.0, 1.0), 2, 2, 1.0, grid=200)
     assert abs(est - 5.0) <= 1e-2
