@@ -8,17 +8,11 @@ Partitions use the 1-based text form, e.g. "1,2|3,4" for {{1,2},{3,4}}.
 
 import argparse
 
+from entrywise.cli import GROUPS
 from entrywise.experiments import ClosureProbeConfig, run_closure_probe
 from entrywise.matrixio import parse_partition
 from entrywise.report import partition_to_text
-from entrywise.strata import (
-    GroupTag,
-    generate_in_stratum,
-    simultaneous_kernel,
-    stratify,
-)
-
-GROUPS = {"trivial": GroupTag.TRIVIAL, "s1": GroupTag.UNIT_CIRCLE, "cx": GroupTag.NONZERO_COMPLEX}
+from entrywise.strata import generate_in_stratum, simultaneous_kernel, stratify
 
 
 def main() -> int:

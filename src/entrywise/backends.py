@@ -146,24 +146,9 @@ def all_exact(values) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def conj(value):
-    """Complex conjugate across scalar types."""
-    if isinstance(value, GaussianRational):
-        return value.conjugate()
-    if isinstance(value, (int, Fraction, float)):
-        return value
-    return value.conjugate()
-
-
-def to_complex(value) -> complex:
-    if isinstance(value, GaussianRational):
-        return complex(value)
-    return complex(value)
-
-
 def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Magnitude-scaled comparison for floating scalars."""
-    fa, fb = to_complex(a), to_complex(b)
+    fa, fb = complex(a), complex(b)
     return abs(fa - fb) <= tol * max(1.0, abs(fa), abs(fb))
 
 

@@ -77,7 +77,7 @@ def cmd_threshold(args) -> Report:
         chain = partial_constants(c, args.M, args.N, rho)
         results["partial_chain"] = list(chain)
     if args.cprime is not None:
-        cprime = float(Fraction(args.cprime))
+        cprime = _number(args.cprime, backend)
         inputs["cprime"] = args.cprime
         results["admissibility_bound"] = -1 / constant
         results["verdict"] = admissible_verdict(c, args.M, args.N, rho, cprime)

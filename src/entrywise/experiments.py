@@ -7,6 +7,7 @@ Randomness is seeded; identical configs reproduce identical output.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import strata
+from . import spectral, strata
 from .backends import solve_exact
 from .hadamard import (
     PencilSpec,
@@ -201,7 +202,7 @@ def run_horn_witness(cfg: HornWitnessConfig) -> tuple[dict, dict]:
 
 @dataclass(frozen=True)
 class PowerSearchConfig:
-    """Search P_{N+1}((0, rho)) for A with the entrywise alpha power not PSD."""
+    """Search P_{N+1}((0, rho)) for A with the entrywise alpha power not positive semidefinite."""
 
     N: int = 2
     alpha: float = 0.5
@@ -212,10 +213,26 @@ class PowerSearchConfig:
 
 
 def _power_violation(A: np.ndarray, alpha: float, tol: float) -> Optional[float]:
-    F = np.power(A, alpha)
-    w = np.linalg.eigvalsh((F + F.T) / 2)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return float(w[0]) if w[0] < -tol * scale else None
+    w_min, scale = spectral.min_eigenvalue(spectral.hermitian_part(np.power(A, alpha)))
+    return float(w_min) if w_min < -tol * scale else None
+
+
+def _power_candidates(n: int, rho: float, seed: int):
+    """The structured sweep of run_power_nonpreservation, then seeded random draws."""
+    thetas = [
+        np.arange(1.0, n + 1.0),
+        1.5 ** np.arange(n),
+        np.linspace(1.0, 2.0, n),
+    ]
+    for theta in thetas:
+        for eps in (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005):
+            B = 1.0 + eps * np.outer(theta, theta)
+            yield (0.9 * rho / float(B.max())) * B
+    rng = np.random.default_rng(seed)
+    while True:
+        B = rng.uniform(0.05, 1.0, size=(n, n))
+        G = B @ B.T
+        yield (0.9 * rho / float(G.max())) * G
 
 
 def run_power_nonpreservation(cfg: PowerSearchConfig) -> tuple[dict, dict]:
@@ -234,53 +251,14 @@ def run_power_nonpreservation(cfg: PowerSearchConfig) -> tuple[dict, dict]:
     if cfg.rho <= 0:
         raise ValueError("rho must be positive")
     n = cfg.N + 1
-    tried = 0
-    thetas = [
-        np.arange(1.0, n + 1.0),
-        1.5 ** np.arange(n),
-        np.linspace(1.0, 2.0, n),
-    ]
-    for theta in thetas:
-        for eps in (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005):
-            if tried >= cfg.budget:
-                break
-            B = 1.0 + eps * np.outer(theta, theta)
-            A = (0.9 * cfg.rho / float(B.max())) * B
-            tried += 1
-            bad = _power_violation(A, cfg.alpha, cfg.tol)
-            if bad is not None:
-                return (
-                    {
-                        "witness_found": True,
-                        "trials": tried,
-                        "alpha": cfg.alpha,
-                        "dimension": n,
-                        "min_eigenvalue": bad,
-                    },
-                    {"matrix": A},
-                )
-    rng = np.random.default_rng(cfg.seed)
-    while tried < cfg.budget:
-        B = rng.uniform(0.05, 1.0, size=(n, n))
-        G = B @ B.T
-        A = (0.9 * cfg.rho / float(G.max())) * G
-        tried += 1
+    results = {"witness_found": False, "trials": 0, "alpha": cfg.alpha, "dimension": n}
+    for A in itertools.islice(_power_candidates(n, cfg.rho, cfg.seed), max(cfg.budget, 0)):
+        results["trials"] += 1
         bad = _power_violation(A, cfg.alpha, cfg.tol)
         if bad is not None:
-            return (
-                {
-                    "witness_found": True,
-                    "trials": tried,
-                    "alpha": cfg.alpha,
-                    "dimension": n,
-                    "min_eigenvalue": bad,
-                },
-                {"matrix": A},
-            )
-    return (
-        {"witness_found": False, "trials": tried, "alpha": cfg.alpha, "dimension": n},
-        {},
-    )
+            results.update(witness_found=True, min_eigenvalue=bad)
+            return results, {"matrix": A}
+    return results, {}
 
 
 @dataclass(frozen=True)

@@ -229,13 +229,13 @@ def _decomposition_diagonals(A, M: int):
     if M < 0:
         raise ValueError("exponent must be non-negative")
     if M < n:
-        return [[1 if j == M else 0 for _ in range(n)] for j in range(n)], rows, True
+        return [[1 if j == M else 0 for _ in range(n)] for j in range(n)], rows
     diag = []
     for j in range(n):
         mu = hook_partition(M, n, j)
         sign = (-1) ** (n - j - 1)
         diag.append([sign * schur_eval(mu, row) for row in rows])
-    return diag, rows, False
+    return diag, rows
 
 
 def hadamard_decomposition(A, M: int):
@@ -245,7 +245,7 @@ def hadamard_decomposition(A, M: int):
     including repeated rows, because the coefficients are row-wise Schur
     evaluations solving the Vandermonde moment system.
     """
-    diag, _, _ = _decomposition_diagonals(A, M)
+    diag, _ = _decomposition_diagonals(A, M)
     n = len(diag[0])
     if _is_numpy(A):
         return [np.diag(np.asarray(d, dtype=A.dtype if A.dtype.kind == "c" else float)) for d in diag]
@@ -254,7 +254,7 @@ def hadamard_decomposition(A, M: int):
 
 def decomposition_residual(A, M: int):
     """A^(oM) - sum_j diag(d_j) A^(oj); identically zero matrix."""
-    diag, rows, _ = _decomposition_diagonals(A, M)
+    diag, rows = _decomposition_diagonals(A, M)
     n = len(rows)
     powers = [hadamard_power(rows, j) for j in range(n)]
     target = hadamard_power(rows, M)

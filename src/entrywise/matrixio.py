@@ -137,13 +137,3 @@ def dump_matrix(A, rho=None) -> str:
         obj["rho"] = float(rho)
     return json.dumps(obj, indent=2)
 
-
-def scalar_to_text(value) -> str:
-    """Render a scalar the way parse_scalar reads it back."""
-    if isinstance(value, GaussianRational):
-        return str(value)
-    z = complex(value)
-    if z.imag == 0:
-        return repr(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"

@@ -19,20 +19,13 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from . import strata
+from . import spectral, strata
 from .hadamard import h_matrix, hadamard_power
 from .partitions import hook_partition
+from .samplers import near_corner_path
 from .schur import schur_eval
 
 RANK_CUT = 1e-12
-
-
-@dataclass
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass
@@ -51,28 +44,19 @@ class DiscontinuityProbe:
     limit_estimate: float
 
 
-def _require_hermitian(A: np.ndarray, tol: float) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("square matrix required")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if np.max(np.abs(A - A.conj().T)) > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return (A + A.conj().T) / 2
-
-
-def hermitian_eigen(A: np.ndarray, tol: float = 1e-9) -> HermitianEigen:
-    H = _require_hermitian(A, tol)
-    w, V = np.linalg.eigh(H)
-    return HermitianEigen(w, V)
+def _coefficients(c: Sequence, N: int) -> list:
+    cs = [float(x) for x in c]
+    if len(cs) != N:
+        raise ValueError(f"need {N} coefficients, got {len(cs)}")
+    if any(not (x > 0) for x in cs):
+        raise ValueError("coefficients must be positive")
+    return cs
 
 
 def psd_check(A: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff A is Hermitian (validated) with min eigenvalue >= -tol * max(1, ||A||)."""
-    H = _require_hermitian(A, tol)
-    w = np.linalg.eigvalsh(H)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return bool(w[0] >= -tol * scale)
+    w_min, scale = spectral.min_eigenvalue(spectral.require_hermitian(A, tol))
+    return bool(w_min >= -tol * scale)
 
 
 def moore_penrose_sqrt(A: np.ndarray, tol: float = RANK_CUT) -> np.ndarray:
@@ -81,16 +65,13 @@ def moore_penrose_sqrt(A: np.ndarray, tol: float = RANK_CUT) -> np.ndarray:
     Eigenvalues at or below tol * lambda_max are treated as kernel directions
     and zeroed; the rest are replaced by their inverse square roots.
     """
-    eig = hermitian_eigen(A, max(tol, 1e-9))
-    w, V = eig.eigenvalues, eig.eigenvectors
+    w, V = np.linalg.eigh(spectral.require_hermitian(A, max(tol, 1e-9)))
     wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= 0:
-        if np.max(np.abs(w)) <= tol:
-            return np.zeros_like(V)
-        raise ValueError("matrix is not PSD within tolerance")
+    if wmax <= 0 and np.max(np.abs(w)) <= tol:
+        return np.zeros_like(V)
+    if wmax <= 0 or w[0] < -1e-9 * wmax:
+        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {w[0]:.6g}")
     cut = tol * wmax
-    if w[0] < -1e-9 * wmax:
-        raise ValueError("matrix is not PSD within tolerance")
     inv = np.where(w > cut, 1.0 / np.sqrt(np.maximum(w, cut)), 0.0)
     return (V * inv) @ V.conj().T
 
@@ -101,21 +82,12 @@ def rayleigh_constant(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> 
     Valid for every nonzero PSD A; the pseudo-inverse square root projects out
     the simultaneous kernel automatically.
     """
-    A = _require_hermitian(A, tol)
+    A = spectral.require_psd(A, tol)
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
-    if not psd_check(A, tol):
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    cs = [float(x) for x in c]
-    if len(cs) != A.shape[0]:
-        raise ValueError(f"need {A.shape[0]} coefficients, got {len(cs)}")
-    if any(not (x > 0) for x in cs):
-        raise ValueError("coefficients must be positive")
-    H = np.asarray(h_matrix(cs, A))
-    S = moore_penrose_sqrt(H)
-    T = S @ hadamard_power(A, M) @ S
-    T = (T + T.conj().T) / 2
-    w, V = np.linalg.eigh(T)
+    cs = _coefficients(c, A.shape[0])
+    S = moore_penrose_sqrt(np.asarray(h_matrix(cs, A)))
+    w, V = np.linalg.eigh(spectral.hermitian_part(S @ hadamard_power(A, M) @ S))
     value = float(w[-1])
     maximizer = S @ V[:, -1]
     norm = np.linalg.norm(maximizer)
@@ -134,22 +106,13 @@ def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
     """
     u = list(u)
     N = len(u)
-    cs = [float(x) for x in c]
-    if len(cs) != N:
-        raise ValueError(f"need {N} coefficients, got {len(cs)}")
-    if any(not (x > 0) for x in cs):
-        raise ValueError("coefficients must be positive")
+    cs = _coefficients(c, N)
     if M < N:
         return 1.0 / cs[M]
-    scale = max(1.0, max(abs(complex(x)) for x in u))
-    for i in range(N):
-        for j in range(i + 1, N):
-            if abs(complex(u[i]) - complex(u[j])) <= 1e-7 * scale:
-                warnings.warn(
-                    "near-coincident coordinates: formal closed-form value",
-                    stacklevel=2,
-                )
-                break
+    z = [complex(x) for x in u]
+    scale = max(1.0, max(abs(x) for x in z))
+    if any(abs(z[i] - z[j]) <= 1e-7 * scale for i in range(N) for j in range(i + 1, N)):
+        warnings.warn("near-coincident coordinates: formal closed-form value", stacklevel=2)
     total = 0.0
     for j in range(N):
         s = schur_eval(hook_partition(M, N, j), u)
@@ -165,21 +128,17 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     complement is spanned by normalized block indicators, and the quotient
     restricted there is a generalized Hermitian eigenproblem.
     """
-    A = _require_hermitian(A, tol)
+    A = spectral.require_hermitian(A, tol)
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
-    cs = [float(x) for x in c]
     N = A.shape[0]
-    if len(cs) != N:
-        raise ValueError(f"need {N} coefficients, got {len(cs)}")
+    cs = _coefficients(c, N)
     pi = strata.stratify(A, strata.GroupTag.TRIVIAL, tol)
     Q = np.zeros((N, len(pi.blocks)), dtype=complex)
     for col, block in enumerate(pi.blocks):
         Q[list(block), col] = 1.0 / np.sqrt(len(block))
-    Ap = Q.conj().T @ hadamard_power(A, M) @ Q
-    Hp = Q.conj().T @ np.asarray(h_matrix(cs, A)) @ Q
-    Ap = (Ap + Ap.conj().T) / 2
-    Hp = (Hp + Hp.conj().T) / 2
+    Ap = spectral.hermitian_part(Q.conj().T @ hadamard_power(A, M) @ Q)
+    Hp = spectral.hermitian_part(Q.conj().T @ np.asarray(h_matrix(cs, A)) @ Q)
     w, W = scipy.linalg.eigh(Ap, Hp)
     idx = int(np.argmax(w))
     maximizer = Q @ W[:, idx]
@@ -204,11 +163,8 @@ def discontinuity_probe(
         raise ValueError("epsilons must be positive")
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
         raise ValueError("epsilons must be strictly decreasing")
-    root = float(rho) ** 0.5
-    rows = []
-    for e in eps:
-        u = [root * (1.0 - e * k / N) for k in range(1, N + 1)]
-        rows.append((e, rayleigh_rank_one(c, M, u)))
+    path = near_corner_path(N, float(rho) ** 0.5, eps).tolist()
+    rows = [(e, rayleigh_rank_one(c, M, u)) for e, u in zip(eps, path)]
     corner = float(rho) * np.ones((N, N))
     on_point = rayleigh_constant(c, M, corner).value
     return DiscontinuityProbe(tuple(rows), on_point, rows[-1][1])

@@ -57,12 +57,15 @@ def random_gaussian_rational_vector(rng: random.Random, n: int, distinct: bool =
     return out
 
 
-def _near_corner_vectors(N: int, rho, deltas=NEAR_CORNER_DELTAS) -> np.ndarray:
-    """Rows u_k = sqrt(rho) (1 - delta k / N), k = 1..N, one per delta."""
-    root = np.sqrt(float(rho))
-    return np.array(
-        [[root * (1.0 - delta * k / N) for k in range(1, N + 1)] for delta in deltas]
-    )
+def near_corner_path(N: int, root: float, deltas) -> np.ndarray:
+    """Rows u_k = root (1 - delta k / N), k = 1..N, one per delta.
+
+    With root = sqrt(rho) the coordinates are pairwise distinct for delta > 0
+    and approach the corner sqrt(rho)*(1,..,1) as delta -> 0: the rank-one
+    path along which the threshold constants are sharp.  Callers pass the
+    root so that each keeps its own rounding of sqrt(rho).
+    """
+    return np.array([[root * (1.0 - delta * k / N) for k in range(1, N + 1)] for delta in deltas])
 
 
 def _outer_rows(U: np.ndarray) -> np.ndarray:
@@ -71,12 +74,9 @@ def _outer_rows(U: np.ndarray) -> np.ndarray:
 
 
 def near_corner_rank_one(N: int, rho: float, deltas=NEAR_CORNER_DELTAS):
-    """Rank-one samples u u^T with u_k = sqrt(rho) (1 - delta k / N), k = 1..N.
-
-    Coordinates are pairwise distinct and approach the corner sqrt(rho)*(1,..,1)
-    as delta -> 0; these witness near-extremal behaviour of the thresholds.
-    """
-    for u in _near_corner_vectors(N, rho, deltas):
+    """Rank-one samples u u^T along :func:`near_corner_path` with root sqrt(rho);
+    these witness near-extremal behaviour of the thresholds."""
+    for u in near_corner_path(N, np.sqrt(float(rho)), deltas):
         yield np.outer(u, u)
 
 
@@ -107,7 +107,7 @@ def psd_disc_batches(
     root = np.sqrt(rho)
     start = 0
     if include_near_corner:
-        U = _near_corner_vectors(N, rho)[:count]
+        U = near_corner_path(N, root, NEAR_CORNER_DELTAS)[:count]
         if len(U):
             yield [(np.arange(len(U)), _outer_rows(U))]
         start = len(U)

@@ -17,6 +17,8 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
+from . import spectral
+
 
 class GroupTag(Enum):
     TRIVIAL = "trivial"
@@ -115,20 +117,19 @@ def _pair_compatible(A, i: int, j: int, group: GroupTag, tol: float, scale: floa
     return _single_orbit((A[i, i], A[i, j], A[j, i], A[j, j]), group, tol, scale)
 
 
-def _block_ok(A, idx, group: GroupTag, tol: float, scale: float) -> bool:
-    sub = A[np.ix_(idx, idx)]
+def _block_ok(sub, group: GroupTag, tol: float, scale: float) -> bool:
+    """Entries of the block in one G-orbit and numerical rank at most one."""
     if not _single_orbit(sub.ravel(), group, tol, scale):
         return False
-    if len(idx) >= 2:
-        s = np.linalg.svd(sub, compute_uv=False)
-        if s[1] > tol * max(scale, float(s[0])):
-            return False
-    return True
+    if min(sub.shape) < 2:
+        return True
+    s = np.linalg.svd(sub, compute_uv=False)
+    return bool(s[1] <= tol * max(scale, float(s[0])))
 
 
 def _verified_split(A, comp, group: GroupTag, tol: float, scale: float):
     comp = sorted(comp)
-    if _block_ok(A, comp, group, tol, scale):
+    if _block_ok(A[np.ix_(comp, comp)], group, tol, scale):
         return [comp]
     # tolerance chaining can merge indices that fail jointly; regroup greedily,
     # admitting an index only when the enlarged block verifies as a whole
@@ -136,8 +137,9 @@ def _verified_split(A, comp, group: GroupTag, tol: float, scale: float):
     for i in comp:
         placed = False
         for g in groups:
+            block = g + [i]
             if all(_pair_compatible(A, i, j, group, tol, scale) for j in g) and _block_ok(
-                A, g + [i], group, tol, scale
+                A[np.ix_(block, block)], group, tol, scale
             ):
                 g.append(i)
                 placed = True
@@ -145,21 +147,6 @@ def _verified_split(A, comp, group: GroupTag, tol: float, scale: float):
         if not placed:
             groups.append([i])
     return groups
-
-
-def _validate_psd_input(A, tol: float) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("square matrix required")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if np.max(np.abs(A - A.conj().T)) > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    H = (A + A.conj().T) / 2
-    w = np.linalg.eigvalsh(H)
-    wscale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if w[0] < -tol * wscale:
-        raise ValueError(f"matrix is not PSD: eigenvalue {w[0]:.6g}")
-    return H
 
 
 def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
@@ -173,7 +160,7 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     """
     if not isinstance(group, GroupTag):
         raise ValueError(f"unknown group {group!r}")
-    H = _validate_psd_input(A, tol)
+    H = spectral.require_psd(A, tol)
     N = H.shape[0]
     scale = float(np.max(np.abs(H)))
     if scale == 0.0:
@@ -197,22 +184,17 @@ def verify_offdiagonal_structure(
     A, pi: IndexPartition, group: GroupTag, tol: float = 1e-9
 ) -> bool:
     """Check rank <= 1 and single-orbit entries on every off-diagonal block of pi."""
-    H = _validate_psd_input(A, tol)
+    H = spectral.require_psd(A, tol)
     if pi.size != H.shape[0]:
         raise ValueError("partition size does not match matrix")
-    scale = max(float(np.max(np.abs(H))), 0.0)
+    scale = float(np.max(np.abs(H)))
     if scale == 0.0:
         return True
-    for a, bi in enumerate(pi.blocks):
-        for bj in pi.blocks[a + 1 :]:
-            sub = H[np.ix_(list(bi), list(bj))]
-            if not _single_orbit(sub.ravel(), group, tol, scale):
-                return False
-            if min(sub.shape) >= 2:
-                s = np.linalg.svd(sub, compute_uv=False)
-                if s[1] > tol * max(scale, float(s[0])):
-                    return False
-    return True
+    return all(
+        _block_ok(H[np.ix_(list(bi), list(bj))], group, tol, scale)
+        for a, bi in enumerate(pi.blocks)
+        for bj in pi.blocks[a + 1 :]
+    )
 
 
 @dataclass
@@ -231,7 +213,7 @@ def simultaneous_kernel(A, tol: float = 1e-9) -> SubspaceBasis:
     the spectrum of every power, whose eigenvalues would otherwise grow like
     max|a|^(N-1).
     """
-    H = _validate_psd_input(A, tol)
+    H = spectral.require_psd(A, tol)
     N = H.shape[0]
     peak = np.max(np.abs(H))
     if peak > 0:
@@ -241,10 +223,8 @@ def simultaneous_kernel(A, tol: float = 1e-9) -> SubspaceBasis:
     for _ in range(1, N):
         power = power * H
         total = total + power
-    w, V = np.linalg.eigh((total + total.conj().T) / 2)
-    wmax = max(float(w[-1]), 0.0)
-    keep = w <= tol * max(wmax, 1.0)
-    basis = V[:, keep]
+    w, V = np.linalg.eigh(spectral.hermitian_part(total))
+    basis = V[:, spectral.kernel_mask(w, tol)]
     return SubspaceBasis(basis.shape[1], basis)
 
 
@@ -282,10 +262,8 @@ def subspace_max_angle(B1: np.ndarray, B2: np.ndarray) -> float:
 
 def rank_bound_check(A, tol: float = 1e-9) -> bool:
     """Numerical rank of A is at most the number of nonzero_complex strata blocks."""
-    H = _validate_psd_input(A, tol)
-    w = np.linalg.eigvalsh(H)
-    wmax = max(float(w[-1]), 0.0)
-    rank = int(np.sum(w > tol * max(wmax, 1.0)))
+    H = spectral.require_psd(A, tol)
+    rank = int(np.sum(~spectral.kernel_mask(np.linalg.eigvalsh(H), tol)))
     pi = stratify(H, GroupTag.NONZERO_COMPLEX, tol)
     return rank <= len(pi.blocks)
 
@@ -335,8 +313,7 @@ def generate_in_stratum(
         rng = np.random.default_rng(seed + attempt)
         U = _block_vectors(pi, group, rng)
         C = _random_core(len(pi.blocks), rng)
-        A = U @ C @ U.conj().T
-        A = (A + A.conj().T) / 2
+        A = spectral.hermitian_part(U @ C @ U.conj().T)
         if stratify(A, group) == pi:
             return A
     raise RuntimeError(f"could not realize stratum {pi.blocks} for {group.value}")
@@ -377,8 +354,7 @@ def closure_probe(
         rng = np.random.default_rng(seed + attempt)
         U_t = _block_vectors(pi_target, group, rng)
         C_t = _random_core(k_t, rng)
-        A_t = U_t @ C_t @ U_t.conj().T
-        A_t = (A_t + A_t.conj().T) / 2
+        A_t = spectral.hermitian_part(U_t @ C_t @ U_t.conj().T)
         full = U_t.sum(axis=1)  # value of the target scaffold at each index
         R = _random_core(k_s, rng)
         scalar_bumps = rng.uniform(0.3, 1.0, size=k_s)
@@ -398,8 +374,7 @@ def closure_probe(
                     vals = vals * (1.0 + d * entry_bumps[idx])
                 U_s[idx, a] = vals
             C_s = E @ C_t @ E.T + d * R
-            P = U_s @ C_s @ U_s.conj().T
-            return (P + P.conj().T) / 2
+            return spectral.hermitian_part(U_s @ C_s @ U_s.conj().T)
 
         ds = [0.5 * 2.0 ** (-j) for j in range(steps)]
         rows = []

@@ -13,10 +13,12 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import spectral
+from .backends import is_exact
 from .hadamard import entrywise_poly, h_matrix, hadamard_power
 from .partitions import generalized_binomial, hook_partition
 from .psd import psd_check
-from .samplers import psd_disc_batches
+from .samplers import near_corner_path, psd_disc_batches
 from .schur import schur_eval
 
 BOUNDARY_WIDTH = 1e-12
@@ -115,22 +117,20 @@ def admissible(c, M: int, N: int, rho, cprime=None) -> bool:
 def admissible_verdict(c, M: int, N: int, rho, cprime=None) -> str:
     """'admissible' / 'inadmissible' / 'boundary' for reporting.
 
-    Values of cprime within 1e-12 (relative) of the exact threshold -1/C are
+    When cprime and the threshold -1/C are both exact, boundary means exact
+    equality.  Otherwise values of cprime within 1e-12 (relative) of -1/C are
     labeled boundary rather than forced to a side.
     """
     cprime = _cprime(c, cprime)
     bound = -1 / threshold_constant(c, M, N, rho)
-    if abs(cprime - bound) <= BOUNDARY_WIDTH * max(1.0, abs(bound)):
+    if is_exact(cprime) and is_exact(bound):
+        on_boundary = cprime == bound
+    else:
+        on_boundary = abs(cprime - bound) <= BOUNDARY_WIDTH * max(1.0, abs(bound))
+    if on_boundary:
         return "boundary"
-    return "admissible" if admissible(c, M, N, rho, cprime) else "inadmissible"
-
-
-def _relative_min_eigenvalues(F: np.ndarray, tol: float):
-    """Smallest eigenvalue of the Hermitian part of each F[i], relative to
-    max(1, spectral radius), and whether it falls below -tol on that scale."""
-    w = np.linalg.eigvalsh((F + F.conj().swapaxes(-1, -2)) / 2)
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    return w[:, 0] / scale, w[:, 0] < -tol * scale
+    # bound < 0, so this agrees with admissible()
+    return "admissible" if cprime >= bound else "inadmissible"
 
 
 def preserves_positivity_check(
@@ -157,7 +157,10 @@ def preserves_positivity_check(
     for block in psd_disc_batches(N, rho, samples, rng):
         first = None  # (position, matrix, relative eigenvalue)
         for positions, stack in block:
-            rel, bad = _relative_min_eigenvalues(np.asarray(entrywise_poly(f, stack)), tol)
+            w_min, scale = spectral.min_eigenvalue(
+                spectral.hermitian_part(np.asarray(entrywise_poly(f, stack)))
+            )
+            rel, bad = w_min / scale, w_min < -tol * scale
             if bad.any():
                 i = int(np.argmax(bad))
                 if first is None or positions[i] < first[0]:
@@ -185,15 +188,13 @@ def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
     if M < N:
         # every distinct-coordinate rank-one point attains exactly 1/c_M
         return 1.0 / float(cs[M])
-    root = float(rho) ** 0.5
     deltas = [2.0 ** (-k) for k in range(1, min(grid, 48) + 1)]
     if N == 1:
         # single coordinate: the closed cube corner itself is admissible
         deltas.append(0.0)
     hooks = [hook_partition(M, N, j) for j in range(N)]
     best = -np.inf
-    for delta in deltas:
-        u = [root * (1.0 - delta * k / N) for k in range(1, N + 1)]
+    for u in near_corner_path(N, float(rho) ** 0.5, deltas).tolist():
         value = sum(
             float(schur_eval(hooks[j], u)) ** 2 / float(cs[j]) for j in range(N)
         )
@@ -242,7 +243,8 @@ def horn_necessity_witness(
             U = U[np.all(U != 0.0, axis=1)]
         A = U[:, :, None] * U[:, None, :]
         F = np.asarray(entrywise_poly(f, A), dtype=float)
-        _, bad = _relative_min_eigenvalues(F, tol)
+        w_min, scale = spectral.min_eigenvalue(spectral.hermitian_part(F))
+        bad = w_min < -tol * scale
         if bad.any():
             return A[np.argmax(bad)].copy()
         tried += len(U)
@@ -264,8 +266,7 @@ def cross_dim_inequality_check(c, M: int, N: int, rho) -> bool:
 
 
 def _validate_disc_psd(A: np.ndarray, rho, tol: float) -> None:
-    if not psd_check(A, tol):
-        raise ValueError("matrix is not positive semidefinite within tolerance")
+    spectral.require_psd(A, tol)
     limit = float(rho) * (1.0 + 1e-9) + tol
     if np.max(np.abs(A)) > limit:
         raise ValueError(f"entries exceed the closed disc of radius {rho}")
@@ -314,6 +315,5 @@ def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> boo
         raise ValueError("no row with pairwise distinct entries")
     C = float(threshold_constant(cs, M, N, rho))
     F = np.asarray(h_matrix([float(x) for x in cs], A)) - hadamard_power(A, M) / C
-    F = (F + F.conj().T) / 2
-    w = np.linalg.eigvalsh(F)
-    return bool(w[0] > tol * max(1.0, float(np.max(np.abs(w)))))
+    w_min, scale = spectral.min_eigenvalue(spectral.hermitian_part(F))
+    return bool(w_min > tol * scale)

@@ -67,6 +67,26 @@ def test_threshold_verdicts(capsys):
     assert rep["results"]["verdict"] == "boundary"
 
 
+@pytest.mark.parametrize(
+    "backend, cprime, verdict",
+    [
+        ("exact", "-1/5", "boundary"),
+        ("exact", "-1000000000000001/5000000000000000", "inadmissible"),
+        ("exact", "-999999999999999/5000000000000000", "admissible"),
+        ("float", "-1000000000000001/5000000000000000", "boundary"),
+        ("float", "-999999999999999/5000000000000000", "boundary"),
+    ],
+)
+def test_threshold_verdict_exact_under_exact_backend(capsys, backend, cprime, verdict):
+    # the bound is -1/5; only the float backend keeps a 1e-12 boundary band
+    code, rep = run_json(
+        capsys, "threshold", "--c", "1,1", "--M", "2", "--N", "2", "--rho", "1",
+        "--backend", backend, f"--cprime={cprime}",
+    )
+    assert code == 0
+    assert rep["results"]["verdict"] == verdict
+
+
 def test_threshold_empirical_close_to_constant(capsys):
     code, rep = run_json(
         capsys, "threshold", "--c", "1,1", "--M", "2", "--N", "2", "--rho", "1",

@@ -3,8 +3,9 @@
 The CLI promises stdout that is reproducible for fixed inputs, so every case
 below runs ``cli.main`` in-process from ``tests/golden/`` (matrix paths are
 relative and print the same) and compares the exit code and the whole of
-stdout with ``tests/golden/<name>.txt``.  Run this file as a script to
-record the golden files again after an intended change of output.
+stdout with ``tests/golden/<name>.txt``.  After an intended change of
+output, record the golden files again with
+``PYTHONPATH=src python3 tests/test_golden_cli.py``.
 """
 
 import os

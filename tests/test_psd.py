@@ -1,5 +1,7 @@
 """PSD utilities and the three routes to the extreme critical value."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,23 @@ def test_moore_penrose_sqrt_zero_matrix():
 def test_moore_penrose_sqrt_rejects_indefinite():
     with pytest.raises(ValueError):
         moore_penrose_sqrt(np.diag([1.0, -1.0]))
+
+
+def test_rayleigh_rank_one_warns_once():
+    # every pair of coordinates coincides, but the warning is one event
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rayleigh_rank_one((1, 1, 1), 3, (0.5, 0.5, 0.5))
+    assert len(caught) == 1
+
+
+@pytest.mark.parametrize(
+    "A",
+    [np.eye(3), np.array([[2, 1 + 0.5j, 0.25], [1 - 0.5j, 3, -0.5 + 1j], [0.25, -0.5 - 1j, 2]])],
+)
+def test_rayleigh_variational_rejects_nonpositive_coefficients(A):
+    with pytest.raises(ValueError, match="coefficients must be positive"):
+        rayleigh_variational((1, -1, 1), 3, A)
 
 
 def test_rayleigh_rank_one_m_less_than_n():
