@@ -139,7 +139,19 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
         Q[list(block), col] = 1.0 / np.sqrt(len(block))
     Ap = spectral.hermitian_part(Q.conj().T @ hadamard_power(A, M) @ Q)
     Hp = spectral.hermitian_part(Q.conj().T @ np.asarray(h_matrix(cs, A)) @ Q)
-    w, W = scipy.linalg.eigh(Ap, Hp)
+    try:
+        w, W = scipy.linalg.eigh(Ap, Hp)
+    except np.linalg.LinAlgError:
+        # On strata of the other groups the trivial-group block indicators
+        # can span joint-kernel directions, which makes Hp singular: solve on
+        # the range of Hp.
+        wh, Vh = np.linalg.eigh(Hp)
+        R = Vh[:, ~spectral.kernel_mask(wh, tol)]
+        w, W = scipy.linalg.eigh(
+            spectral.hermitian_part(R.conj().T @ Ap @ R),
+            spectral.hermitian_part(R.conj().T @ Hp @ R),
+        )
+        Q = Q @ R
     idx = int(np.argmax(w))
     maximizer = Q @ W[:, idx]
     norm = np.linalg.norm(maximizer)

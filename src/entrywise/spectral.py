@@ -38,18 +38,30 @@ def min_eigenvalue(H: np.ndarray):
     Only the lower triangle of H is read, so a matrix that is Hermitian only
     up to rounding goes in as its :func:`hermitian_part`.
     """
-    w = np.linalg.eigvalsh(H)
+    return _extremes(np.linalg.eigvalsh(H))
+
+
+def _extremes(w: np.ndarray):
+    """(w_min, max(1, max|w|)) of ascending eigenvalues, per row of a stack."""
     return w[..., 0], np.abs(w).max(axis=-1, initial=1.0)
 
 
-def require_psd(A, tol: float) -> np.ndarray:
-    """Hermitian part of A, which must be Hermitian and PSD within tol
-    (smallest eigenvalue >= -tol * scale); raises ValueError otherwise."""
+def psd_spectrum(A, tol: float):
+    """(H, w): the Hermitian part H of A, which must be Hermitian and PSD
+    within tol (smallest eigenvalue >= -tol * scale), and the ascending
+    eigenvalues w of H; raises ValueError otherwise."""
     H = require_hermitian(A, tol)
-    w_min, scale = min_eigenvalue(H)
+    w = np.linalg.eigvalsh(H)
+    w_min, scale = _extremes(w)
     if not w_min >= -tol * scale:
         raise ValueError(f"matrix is not positive semidefinite: eigenvalue {w_min:.6g}")
-    return H
+    return H, w
+
+
+def require_psd(A, tol: float) -> np.ndarray:
+    """Hermitian part of A, which must be Hermitian and PSD within tol;
+    see :func:`psd_spectrum`."""
+    return psd_spectrum(A, tol)[0]
 
 
 def kernel_mask(w: np.ndarray, tol: float) -> np.ndarray:

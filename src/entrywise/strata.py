@@ -19,6 +19,12 @@ import scipy.linalg
 
 from . import spectral
 
+# Relative margin of the triangle-inequality shortcut in the trivial-group
+# orbit test: computed distances can break the inequality by a few ulps.
+_ORBIT_MARGIN = 1e-12
+# Entries compared at a time when the orbit test checks every pair.
+_PAIR_CHUNK = 1 << 18
+
 
 class GroupTag(Enum):
     TRIVIAL = "trivial"
@@ -95,26 +101,73 @@ class _UnionFind:
             self.parent[rj] = ri
 
 
-def _single_orbit(values, group: GroupTag, tol: float, scale: float) -> bool:
-    vals = [complex(v) for v in values]
+def _modulus(z):
+    """|z| entrywise, rounded as Python's complex abs rounds it (libm hypot);
+    numpy's complex absolute can differ in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _single_orbit(values: np.ndarray, group: GroupTag, tol: float, scale: float) -> bool:
+    """Entries of the 1-D array `values` in one G-orbit, within tol * scale.
+
+    Under the trivial group every pair of entries must lie within the cut.
+    The distances to the first entry decide almost every block: one above the
+    cut fails a pair, and all within half of it pass every pair by the
+    triangle inequality.  Only a spread in between is compared pair by pair,
+    a chunk of rows at a time.
+    """
+    cut = tol * scale
     if group is GroupTag.TRIVIAL:
+        far = float(_modulus(values - values[0]).max())
+        if far > cut:
+            return False
+        if 2.0 * far <= cut * (1.0 - _ORBIT_MARGIN):
+            return True
+        step = max(1, _PAIR_CHUNK // values.size)
         return all(
-            abs(a - b) <= tol * scale for i, a in enumerate(vals) for b in vals[i + 1 :]
+            bool((_modulus(values[s : s + step, None] - values[s:]) <= cut).all())
+            for s in range(0, values.size, step)
         )
+    mods = _modulus(values)
     if group is GroupTag.UNIT_CIRCLE:
-        mods = [abs(v) for v in vals]
-        return max(mods) - min(mods) <= tol * scale
+        return bool(mods.max() - mods.min() <= cut)
     if group is GroupTag.NONZERO_COMPLEX:
-        mods = [abs(v) for v in vals]
-        return all(m > tol * scale for m in mods) or all(m <= tol * scale for m in mods)
+        big = mods > cut
+        return bool(big.all() or not big.any())
     raise ValueError(f"unknown group {group!r}")
 
 
-def _pair_compatible(A, i: int, j: int, group: GroupTag, tol: float, scale: float) -> bool:
-    det2 = A[i, i] * A[j, j] - A[i, j] * A[j, i]
-    if abs(det2) > tol * scale * scale:
-        return False
-    return _single_orbit((A[i, i], A[i, j], A[j, i], A[j, j]), group, tol, scale)
+def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
+    """N x N mask of the pair relation: (i, j) is set when the 2x2 principal
+    submatrix on i, j has |det| <= tol * scale^2 and its four entries lie in
+    one G-orbit within tol * scale.
+
+    H is exactly Hermitian, as spectral.hermitian_part returns it: a real
+    diagonal d and H[j, i] == conj(H[i, j]).  So the determinant is
+    d_i d_j - |h_ij|^2, the four entries are d_i, d_j, h_ij and its
+    conjugate, and each term below is rounded as complex arithmetic on the
+    four entries rounds it.
+    """
+    cut = tol * scale
+    d, x, y = H.diagonal().real, H.real, H.imag
+    flat = ~(np.abs(np.multiply.outer(d, d) - (x * x + y * y)) > tol * scale * scale)
+    if group is GroupTag.TRIVIAL:
+        spread = np.maximum(
+            np.maximum(np.hypot(d[:, None] - x, y), np.hypot(d - x, y)),
+            np.maximum(np.abs(np.subtract.outer(d, d)), 2.0 * np.abs(y)),
+        )
+        return flat & (spread <= cut)
+    m_d, m_h = np.abs(d), np.hypot(x, y)
+    if group is GroupTag.UNIT_CIRCLE:
+        hi = np.maximum(np.maximum.outer(m_d, m_d), m_h)
+        lo = np.minimum(np.minimum.outer(m_d, m_d), m_h)
+        return flat & (hi - lo <= cut)
+    if group is GroupTag.NONZERO_COMPLEX:
+        b_d, b_h = m_d > cut, m_h > cut
+        every = np.logical_and.outer(b_d, b_d) & b_h
+        none = ~(np.logical_or.outer(b_d, b_d) | b_h)
+        return flat & (every | none)
+    raise ValueError(f"unknown group {group!r}")
 
 
 def _block_ok(sub, group: GroupTag, tol: float, scale: float) -> bool:
@@ -127,24 +180,25 @@ def _block_ok(sub, group: GroupTag, tol: float, scale: float) -> bool:
     return bool(s[1] <= tol * max(scale, float(s[0])))
 
 
-def _verified_split(A, comp, group: GroupTag, tol: float, scale: float):
-    comp = sorted(comp)
-    if _block_ok(A[np.ix_(comp, comp)], group, tol, scale):
+def _sub(H, rows, cols):
+    """H[np.ix_(rows, cols)], in fewer numpy calls."""
+    return H.take(rows, 0).take(cols, 1)
+
+
+def _verified_split(H, comp, related, group: GroupTag, tol: float, scale: float):
+    # a single index always verifies
+    if len(comp) == 1 or _block_ok(_sub(H, comp, comp), group, tol, scale):
         return [comp]
     # tolerance chaining can merge indices that fail jointly; regroup greedily,
     # admitting an index only when the enlarged block verifies as a whole
     groups: list[list[int]] = []
     for i in comp:
-        placed = False
         for g in groups:
             block = g + [i]
-            if all(_pair_compatible(A, i, j, group, tol, scale) for j in g) and _block_ok(
-                A[np.ix_(block, block)], group, tol, scale
-            ):
+            if related[i, g].all() and _block_ok(_sub(H, block, block), group, tol, scale):
                 g.append(i)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([i])
     return groups
 
@@ -157,25 +211,34 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     of that relation are then verified as whole blocks (and greedily split if
     tolerance chaining produced a false merge).  The zero matrix maps to the
     single-block partition by convention.
+
+    Cost: one eigen-solve to validate A; the pair relation as a few
+    elementwise passes over N x N arrays; per component, an orbit test
+    linear in its b^2 entries (all pairs only when their spread lies between
+    half the cut and the cut) and one SVD of the b x b block.
     """
     if not isinstance(group, GroupTag):
         raise ValueError(f"unknown group {group!r}")
-    H = spectral.require_psd(A, tol)
+    return _stratify(spectral.require_psd(A, tol), group, tol)
+
+
+def _stratify(H, group: GroupTag, tol: float) -> IndexPartition:
+    """stratify on the Hermitian part H of a validated PSD matrix."""
     N = H.shape[0]
     scale = float(np.max(np.abs(H)))
     if scale == 0.0:
         return single_block_partition(N)
+    related = _related(H, group, tol, scale)
     uf = _UnionFind(N)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if _pair_compatible(H, i, j, group, tol, scale):
-                uf.union(i, j)
+    rows, cols = np.nonzero(np.triu(related, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        uf.union(i, j)
     components: dict[int, list[int]] = {}
     for i in range(N):
         components.setdefault(uf.find(i), []).append(i)
     blocks: list[tuple[int, ...]] = []
     for comp in components.values():
-        for part in _verified_split(H, comp, group, tol, scale):
+        for part in _verified_split(H, comp, related, group, tol, scale):
             blocks.append(tuple(part))
     return IndexPartition(tuple(blocks))
 
@@ -191,7 +254,7 @@ def verify_offdiagonal_structure(
     if scale == 0.0:
         return True
     return all(
-        _block_ok(H[np.ix_(list(bi), list(bj))], group, tol, scale)
+        _block_ok(_sub(H, bi, bj), group, tol, scale)
         for a, bi in enumerate(pi.blocks)
         for bj in pi.blocks[a + 1 :]
     )
@@ -262,10 +325,9 @@ def subspace_max_angle(B1: np.ndarray, B2: np.ndarray) -> float:
 
 def rank_bound_check(A, tol: float = 1e-9) -> bool:
     """Numerical rank of A is at most the number of nonzero_complex strata blocks."""
-    H = spectral.require_psd(A, tol)
-    rank = int(np.sum(~spectral.kernel_mask(np.linalg.eigvalsh(H), tol)))
-    pi = stratify(H, GroupTag.NONZERO_COMPLEX, tol)
-    return rank <= len(pi.blocks)
+    H, w = spectral.psd_spectrum(A, tol)
+    rank = int(np.sum(~spectral.kernel_mask(w, tol)))
+    return rank <= len(_stratify(H, GroupTag.NONZERO_COMPLEX, tol).blocks)
 
 
 def _block_vectors(pi: IndexPartition, group: GroupTag, rng: np.random.Generator) -> np.ndarray:

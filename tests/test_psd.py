@@ -130,6 +130,20 @@ def test_variational_handles_kernel():
     assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1))
 
 
+def test_variational_on_unit_circle_stratum_with_singular_block_form():
+    # the trivial-group blocks of a unit-circle stratum leave the compressed
+    # h_c form singular at N = 80; the solve used to raise LinAlgError here
+    sizes = (3, 7, 13, 13, 13, 13, 14, 4)
+    starts = np.cumsum((0,) + sizes[:-1])
+    pi = IndexPartition(tuple(tuple(range(s, s + n)) for s, n in zip(starts, sizes)))
+    A = generate_in_stratum(pi, GroupTag.UNIT_CIRCLE, seed=9)
+    A = A / np.max(np.abs(A))
+    c = (1.0,) * 80
+    v1 = rayleigh_constant(c, 82, A).value
+    v2 = rayleigh_variational(c, 82, A).value
+    assert abs(v1 - v2) <= 1e-5 * abs(v1)
+
+
 def test_rank_one_warns_on_coincident_coordinates():
     with pytest.warns(UserWarning):
         rayleigh_rank_one((1.0, 1.0), 3, np.array([0.7, 0.7]))

@@ -162,6 +162,24 @@ def test_rank_bound():
     assert rank_bound_check(np.zeros((3, 3)))
 
 
+def test_rank_bound_check_solves_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(H):
+        calls.append(H.shape)
+        return eigvalsh(H)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert rank_bound_check(np.eye(4))
+    assert len(calls) == 1
+
+
+def test_rank_bound_check_rejects_non_psd():
+    with pytest.raises(ValueError, match="not positive semidefinite: eigenvalue -1"):
+        rank_bound_check(np.diag([1.0, -1.0]))
+
+
 def test_closure_probe_path_and_limit():
     target = IndexPartition(((0, 1), (2,)))
     source = singleton_partition(3)

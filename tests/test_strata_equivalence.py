@@ -1,0 +1,334 @@
+"""The array-based stratification predicates against the loop references.
+
+The references below are the pairwise loops the predicates replaced: every
+pair of a block's entries compared one at a time, and the 2x2 pair relation
+decided one (i, j) at a time.  The array code must reproduce them exactly:
+equal partitions, equal booleans and equal exceptions, with no tolerance.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from entrywise import spectral, strata
+from entrywise.strata import (
+    GroupTag,
+    IndexPartition,
+    generate_in_stratum,
+    single_block_partition,
+    singleton_partition,
+    stratify,
+    verify_offdiagonal_structure,
+)
+
+GROUPS = tuple(GroupTag)
+TOL = 1e-9
+EIGHT_BLOCKS = {
+    24: (1, 2, 4, 4, 4, 4, 4, 1),
+    48: (2, 4, 8, 8, 8, 8, 8, 2),
+    80: (3, 7, 13, 13, 13, 13, 14, 4),
+}
+
+
+# --- references ---------------------------------------------------------------
+
+
+def ref_single_orbit(values, group, tol, scale):
+    vals = [complex(v) for v in values]
+    if group is GroupTag.TRIVIAL:
+        return all(
+            abs(a - b) <= tol * scale for i, a in enumerate(vals) for b in vals[i + 1 :]
+        )
+    if group is GroupTag.UNIT_CIRCLE:
+        mods = [abs(v) for v in vals]
+        return max(mods) - min(mods) <= tol * scale
+    if group is GroupTag.NONZERO_COMPLEX:
+        mods = [abs(v) for v in vals]
+        return all(m > tol * scale for m in mods) or all(m <= tol * scale for m in mods)
+    raise ValueError(f"unknown group {group!r}")
+
+
+def ref_pair_compatible(A, i, j, group, tol, scale):
+    det2 = A[i, i] * A[j, j] - A[i, j] * A[j, i]
+    if abs(det2) > tol * scale * scale:
+        return False
+    return ref_single_orbit((A[i, i], A[i, j], A[j, i], A[j, j]), group, tol, scale)
+
+
+def ref_block_ok(sub, group, tol, scale):
+    if not ref_single_orbit(sub.ravel(), group, tol, scale):
+        return False
+    if min(sub.shape) < 2:
+        return True
+    s = np.linalg.svd(sub, compute_uv=False)
+    return bool(s[1] <= tol * max(scale, float(s[0])))
+
+
+def ref_verified_split(A, comp, group, tol, scale):
+    comp = sorted(comp)
+    if ref_block_ok(A[np.ix_(comp, comp)], group, tol, scale):
+        return [comp]
+    groups = []
+    for i in comp:
+        placed = False
+        for g in groups:
+            block = g + [i]
+            if all(ref_pair_compatible(A, i, j, group, tol, scale) for j in g) and ref_block_ok(
+                A[np.ix_(block, block)], group, tol, scale
+            ):
+                g.append(i)
+                placed = True
+                break
+        if not placed:
+            groups.append([i])
+    return groups
+
+
+def ref_stratify(A, group, tol=TOL):
+    if not isinstance(group, GroupTag):
+        raise ValueError(f"unknown group {group!r}")
+    H = spectral.require_psd(A, tol)
+    N = H.shape[0]
+    scale = float(np.max(np.abs(H)))
+    if scale == 0.0:
+        return single_block_partition(N)
+    parent = list(range(N))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(N):
+        for j in range(i + 1, N):
+            if ref_pair_compatible(H, i, j, group, tol, scale):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    components = {}
+    for i in range(N):
+        components.setdefault(find(i), []).append(i)
+    blocks = []
+    for comp in components.values():
+        for part in ref_verified_split(H, comp, group, tol, scale):
+            blocks.append(tuple(part))
+    return IndexPartition(tuple(blocks))
+
+
+def ref_verify_offdiagonal_structure(A, pi, group, tol=TOL):
+    H = spectral.require_psd(A, tol)
+    if pi.size != H.shape[0]:
+        raise ValueError("partition size does not match matrix")
+    scale = float(np.max(np.abs(H)))
+    if scale == 0.0:
+        return True
+    return all(
+        ref_block_ok(H[np.ix_(list(bi), list(bj))], group, tol, scale)
+        for a, bi in enumerate(pi.blocks)
+        for bj in pi.blocks[a + 1 :]
+    )
+
+
+# --- inputs ---------------------------------------------------------------------
+
+
+def _random_partition(N, rng):
+    labels = rng.integers(0, rng.integers(1, N + 1), size=N)
+    blocks = {}
+    for i, label in enumerate(labels.tolist()):
+        blocks.setdefault(label, []).append(i)
+    return IndexPartition(tuple(tuple(b) for b in blocks.values()))
+
+
+def _consecutive(sizes):
+    starts = np.cumsum((0,) + sizes[:-1])
+    return IndexPartition(tuple(tuple(range(s, s + n)) for s, n in zip(starts, sizes)))
+
+
+def _wishart(N, k, rng, real=False):
+    B = rng.standard_normal((N, k))
+    if not real:
+        B = B + 1j * rng.standard_normal((N, k))
+    A = B @ B.conj().T
+    return A / np.max(np.abs(A))
+
+
+def _near_equal_rank_one(t, spread, tol=TOL):
+    """u u* with u = 1 + delta * t, delta set so that the entries spread over
+    about `spread` times the cut tol * max|a|."""
+    u = 1.0 + 0.5 * spread * tol * np.asarray(t, dtype=float)
+    return np.outer(u, u).astype(complex)
+
+
+def _stratum_matrices():
+    rng = np.random.default_rng(2024)
+    out = []
+    for N in range(1, 13):
+        for group in GROUPS:
+            for _ in range(2):
+                pi = _random_partition(N, rng)
+                A = generate_in_stratum(pi, group, seed=int(rng.integers(2**31)))
+                out.append((f"stratum-{group.value}-N{N}", A))
+    for N, sizes in EIGHT_BLOCKS.items():
+        for group in GROUPS:
+            A = generate_in_stratum(_consecutive(sizes), group, seed=N)
+            out.append((f"eight-blocks-{group.value}-N{N}", A / np.max(np.abs(A))))
+    A = generate_in_stratum(_consecutive((2, 3, 1, 4)), GroupTag.TRIVIAL, seed=3)
+    out.append(("unscaled", 3.0 * A / np.max(np.abs(A))))
+    return out
+
+
+def _other_matrices():
+    rng = np.random.default_rng(7)
+    out = []
+    for N, k in ((2, 1), (3, 1), (5, 2), (8, 3), (12, 12), (20, 2), (30, 30)):
+        out.append((f"wishart-N{N}-k{k}", _wishart(N, k, rng)))
+        out.append((f"wishart-real-N{N}-k{k}", _wishart(N, k, rng, real=True)))
+    # rows scaled over ten decades: moduli on both sides of the cut
+    D = np.diag(10.0 ** rng.uniform(-11, 0, 10))
+    out.append(("wishart-graded", D @ _wishart(10, 3, rng) @ D))
+    for N in (40, 80):
+        out.append((f"zero-N{N}", np.zeros((N, N))))
+        out.append((f"identity-N{N}", np.eye(N)))
+        out.append((f"ones-N{N}", np.ones((N, N))))
+    # a ~ b ~ c but not a ~ c: one component, split again by the regroup path
+    out.append(("chain-3", _near_equal_rank_one([0.0, 0.8, 1.6], 1.0)))
+    out.append(("chain-5", _near_equal_rank_one([0.0, 0.5, 1.0, 1.5, 2.0], 1.0)))
+    out.append(("chain-shuffled", _near_equal_rank_one([1.6, 0.0, 0.8, 2.4, 0.4, 1.2], 1.0)))
+    # one block whose spread lies in (cut/2, cut] or just above the cut
+    for spread in (0.7, 0.95, 1.05):
+        t = rng.permutation(np.linspace(0.0, 1.0, 12))
+        out.append((f"band-{spread}-N12", _near_equal_rank_one(t, spread)))
+    # the same stratum moved by noise at the cut, so that pair decisions and
+    # validation both sit at their tolerances
+    A = generate_in_stratum(_consecutive((3, 2, 4, 1)), GroupTag.UNIT_CIRCLE, seed=11)
+    A = A / np.max(np.abs(A))
+    for s in range(3):
+        E = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+        out.append((f"noisy-{s}", A + 1e-9 * (E + E.conj().T) / 2))
+    return out
+
+
+CASES = _stratum_matrices() + _other_matrices()
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# --- tests ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
+@pytest.mark.parametrize("name,A", CASES, ids=[name for name, _ in CASES])
+def test_stratify_and_verify_match_reference(name, A, group):
+    got = _outcome(stratify, A, group)
+    assert got == _outcome(ref_stratify, A, group)
+    if got[0] != "ok":
+        return
+    N = A.shape[0]
+    partitions = {got[1], singleton_partition(N), single_block_partition(N)}
+    partitions.update(stratify(A, g) for g in GROUPS)
+    for pi in partitions:
+        assert _outcome(verify_offdiagonal_structure, A, pi, group) == _outcome(
+            ref_verify_offdiagonal_structure, A, pi, group
+        )
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
+def test_pair_relation_matches_reference(group):
+    for name, A in CASES:
+        try:
+            H = spectral.require_psd(A, TOL)
+        except ValueError:
+            continue
+        scale = float(np.max(np.abs(H)))
+        if scale == 0.0 or H.shape[0] > 30:
+            continue
+        related = strata._related(H, group, TOL, scale)
+        for i, j in itertools.permutations(range(H.shape[0]), 2):
+            expected = ref_pair_compatible(H, i, j, group, TOL, scale)
+            assert related[i, j] == expected, (name, i, j)
+
+
+def _orbit_inputs():
+    rng = np.random.default_rng(5)
+    cut = TOL
+    out = []
+    for n in (1, 2, 4, 9, 50):
+        for spread in (0.0, 0.3, 0.5, 0.7, 0.99, 1.0, 1.01, 1.5, 1.99, 2.5):
+            phase = np.exp(2j * np.pi * rng.uniform())
+            offsets = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            offsets *= 0.5 * spread * cut / np.max(np.abs(offsets), initial=1e-300)
+            out.append((f"disc-{spread}-n{n}", phase * (1.0 + offsets)))
+            # the first entry in the middle, the extremes elsewhere
+            line = phase * (1.0 + spread * cut * np.linspace(-0.5, 0.5, n))
+            out.append((f"line-{spread}-n{n}", np.roll(line, -(n // 2))))
+        out.append((f"tiny-n{n}", rng.uniform(0.0, 2.0, n) * cut + 0j))
+    # a 6400-entry block in the band, then just above the cut with the
+    # first entry at the centre, so that only the pairwise comparison fails it
+    t = np.linspace(0.0, 1.0, 80)
+    out.append(("band-6400", _near_equal_rank_one(t, 0.9).ravel()))
+    above = _near_equal_rank_one(t, 1.02).ravel()
+    centre = int(np.argmin(np.abs(above.real - np.median(above.real))))
+    rest = np.delete(above, [centre, above.size - 1])
+    out.append(("above-6400", np.concatenate(([above[centre], above[-1]], rest))))
+    return out
+
+
+ORBIT_INPUTS = _orbit_inputs()
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
+def test_single_orbit_matches_reference(group):
+    for name, values in ORBIT_INPUTS:
+        scale = 1.0 if name.startswith("tiny") else float(np.max(np.abs(values)))
+        got = strata._single_orbit(values, group, TOL, scale)
+        assert got == ref_single_orbit(values, group, TOL, scale), name
+
+
+def test_orbit_inputs_reach_every_branch():
+    """The trivial-group inputs include a rejection by the reference entry,
+    a triangle-inequality acceptance, and both verdicts of the pairwise
+    fallback, the 6400-entry block among them."""
+    seen = set()
+    for name, values in ORBIT_INPUTS:
+        scale = float(np.max(np.abs(values)))
+        cut = TOL * scale
+        far = float(np.max(np.abs(values - values[0])))
+        verdict = strata._single_orbit(values, GroupTag.TRIVIAL, TOL, scale)
+        if far > cut:
+            seen.add("reject")
+        elif 2 * far <= cut * (1 - 1e-9):
+            seen.add("accept")
+        else:
+            seen.add(f"pairwise-{verdict}")
+            if values.size == 6400:
+                seen.add(f"pairwise-6400-{verdict}")
+    assert seen == {
+        "reject",
+        "accept",
+        "pairwise-True",
+        "pairwise-False",
+        "pairwise-6400-True",
+        "pairwise-6400-False",
+    }
+
+
+def test_chains_take_the_regroup_path():
+    """The chain matrices are one component of the trivial-group pair
+    relation that fails as a block, so _verified_split regroups it."""
+    for name, A in CASES:
+        if name.startswith("chain"):
+            H = spectral.require_psd(A, TOL)
+            scale = float(np.max(np.abs(H)))
+            reach = strata._related(H, GroupTag.TRIVIAL, TOL, scale) | np.eye(len(H), dtype=bool)
+            for _ in range(len(H)):
+                reach = (reach.astype(int) @ reach.astype(int)) > 0
+            assert reach.all(), name
+            assert len(stratify(A, GroupTag.TRIVIAL).blocks) > 1, name
