@@ -41,18 +41,23 @@ GROUPS = {
 PROBE_EPSILONS = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
 
 
+def _fraction(text: str) -> Fraction:
+    """A fraction-valued argument; a zero denominator is a ValueError like any bad literal."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse number {text!r}") from None
+
+
 def _fractions(text: str) -> tuple:
     toks = [t.strip() for t in text.split(",") if t.strip()]
     if not toks:
         raise ValueError("empty coefficient list")
-    try:
-        return tuple(Fraction(t) for t in toks)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse coefficient list {text!r}") from None
+    return tuple(_fraction(t) for t in toks)
 
 
 def _number(text: str, backend: Backend):
-    value = Fraction(text)
+    value = _fraction(text)
     return value if backend is Backend.EXACT else float(value)
 
 
@@ -177,18 +182,18 @@ def cmd_experiment(args) -> Report:
     if name == "sharpness":
         c = _fractions(args.c)
         cfg = experiments.SharpnessConfig(
-            c=c, M=args.M, N=args.N, rho=Fraction(args.rho), grid=args.grid
+            c=c, M=args.M, N=args.N, rho=_fraction(args.rho), grid=args.grid
         )
         results = experiments.run_sharpness(cfg)
         inputs.update({"c": args.c, "M": args.M, "N": args.N, "rho": args.rho})
     elif name == "horn-witness":
         c = _fractions(args.c)
-        cprime = float(Fraction(args.cprime)) if args.cprime is not None else None
+        cprime = float(_fraction(args.cprime)) if args.cprime is not None else None
         cfg = experiments.HornWitnessConfig(
             c=c,
             M=args.M,
             N=args.N,
-            rho=Fraction(args.rho),
+            rho=_fraction(args.rho),
             cprime=cprime,
             budget=args.budget,
             seed=args.seed,
@@ -200,7 +205,7 @@ def cmd_experiment(args) -> Report:
         cfg = experiments.PowerSearchConfig(
             N=args.N,
             alpha=args.alpha,
-            rho=float(Fraction(args.rho)),
+            rho=float(_fraction(args.rho)),
             budget=args.budget,
             seed=args.seed,
             tol=args.tol,

@@ -15,8 +15,8 @@ from typing import Mapping
 import numpy as np
 
 from .backends import all_exact, det_exact
-from .partitions import StrictTuple, hook_partition, staircase_complement
-from .schur import schur_eval, vandermonde_det
+from .partitions import StrictTuple, staircase_complement
+from .schur import hook_values, schur_eval, vandermonde_det
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,16 @@ class PencilSpec:
             raise ValueError("at least one pencil coefficient required")
         if self.M < 0:
             raise ValueError("exponent must be non-negative")
+
+
+def coefficients(c, N: int) -> tuple:
+    """The coefficient vector c_0..c_{N-1} as a tuple: N entries, all positive."""
+    cs = tuple(c)
+    if len(cs) != N:
+        raise ValueError(f"need {N} coefficients, got {len(cs)}")
+    if any(not (x > 0) for x in cs):
+        raise ValueError("coefficients must be positive")
+    return cs
 
 
 def _is_numpy(A) -> bool:
@@ -144,10 +154,8 @@ def pencil_det_closed_form(spec: PencilSpec, u, v):
         raise ValueError(f"need M >= N, got M={spec.M}, N={n}")
     if any(c == 0 for c in spec.coeffs):
         raise ValueError("closed form requires nonzero coefficients")
-    hook_sum = 0
-    for j in range(n):
-        mu = hook_partition(spec.M, n, j)
-        hook_sum = hook_sum + schur_eval(mu, u) * schur_eval(mu, v) / spec.coeffs[j]
+    su, sv = hook_values(spec.M, [u, v])
+    hook_sum = sum(a * b / c for a, b, c in zip(su, sv, spec.coeffs))
     prod_c = 1
     for c in spec.coeffs:
         prod_c = prod_c * c
@@ -173,24 +181,9 @@ def cauchy_binet_lhs(coeffs_by_exponent: Mapping[int, object], u, v):
     """det( sum_n c_n (u v^T)^(on) ) computed directly."""
     exponents = _validate_exponent_map(coeffs_by_exponent)
     A = rank_one_outer(u, v)
-    total = None
-    for n in exponents:
-        term = hadamard_power(A, n)
-        c = coeffs_by_exponent[n]
-        if _is_numpy(A):
-            term = complex(c) * term
-            total = term if total is None else total + term
-        else:
-            term = [[c * x for x in row] for row in term]
-            if total is None:
-                total = term
-            else:
-                total = [
-                    [total[i][k] + term[i][k] for k in range(len(term))]
-                    for i in range(len(term))
-                ]
+    total = entrywise_poly({n: coeffs_by_exponent[n] for n in exponents}, A)
     if _is_numpy(A):
-        return np.linalg.det(total)
+        return np.linalg.det(np.asarray(total, dtype=complex))
     return det_exact(total)
 
 
@@ -230,12 +223,16 @@ def _decomposition_diagonals(A, M: int):
         raise ValueError("exponent must be non-negative")
     if M < n:
         return [[1 if j == M else 0 for _ in range(n)] for j in range(n)], rows
-    diag = []
-    for j in range(n):
-        mu = hook_partition(M, n, j)
-        sign = (-1) ** (n - j - 1)
-        diag.append([sign * schur_eval(mu, row) for row in rows])
-    return diag, rows
+    return [list(d) for d in zip(*_moment_weights(M, rows))], rows
+
+
+def _moment_weights(M: int, points) -> list:
+    """Rows [(-1)^(N-1-j) s_hook(M,N,j)(x)]_j, one per point x: the solution s
+    of V(x) s = x^(oM) for pairwise distinct x."""
+    return [
+        [(-1) ** (len(row) - 1 - j) * s for j, s in enumerate(row)]
+        for row in hook_values(M, points)
+    ]
 
 
 def hadamard_decomposition(A, M: int):
@@ -293,8 +290,4 @@ def vandermonde_solve_moments(u, M: int):
                 raise ValueError(f"coordinates {a} and {b} coincide")
     if M < n:
         raise ValueError(f"need M >= N, got M={M}, N={n}")
-    out = []
-    for i in range(n):
-        mu = hook_partition(M, n, i)
-        out.append((-1) ** (n - 1 - i) * schur_eval(mu, u))
-    return out
+    return _moment_weights(M, [u])[0]

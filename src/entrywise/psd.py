@@ -20,10 +20,9 @@ import numpy as np
 import scipy.linalg
 
 from . import spectral, strata
-from .hadamard import h_matrix, hadamard_power
-from .partitions import hook_partition
+from .hadamard import coefficients, h_matrix, hadamard_power
 from .samplers import near_corner_path
-from .schur import schur_eval
+from .schur import hook_values
 
 RANK_CUT = 1e-12
 
@@ -42,15 +41,6 @@ class DiscontinuityProbe:
     rows: tuple  # (epsilon, value) pairs, epsilon descending
     on_point_value: float
     limit_estimate: float
-
-
-def _coefficients(c: Sequence, N: int) -> list:
-    cs = [float(x) for x in c]
-    if len(cs) != N:
-        raise ValueError(f"need {N} coefficients, got {len(cs)}")
-    if any(not (x > 0) for x in cs):
-        raise ValueError("coefficients must be positive")
-    return cs
 
 
 def psd_check(A: np.ndarray, tol: float = 1e-9) -> bool:
@@ -85,8 +75,7 @@ def rayleigh_constant(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> 
     A = spectral.require_psd(A, tol)
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
-    cs = _coefficients(c, A.shape[0])
-    S = moore_penrose_sqrt(np.asarray(h_matrix(cs, A)))
+    S = moore_penrose_sqrt(np.asarray(h_matrix(coefficients(c, A.shape[0]), A)))
     w, V = np.linalg.eigh(spectral.hermitian_part(S @ hadamard_power(A, M) @ S))
     value = float(w[-1])
     maximizer = S @ V[:, -1]
@@ -106,7 +95,7 @@ def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
     """
     u = list(u)
     N = len(u)
-    cs = _coefficients(c, N)
+    cs = [float(x) for x in coefficients(c, N)]
     if M < N:
         return 1.0 / cs[M]
     z = [complex(x) for x in u]
@@ -114,10 +103,9 @@ def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
     if any(abs(z[i] - z[j]) <= 1e-7 * scale for i in range(N) for j in range(i + 1, N)):
         warnings.warn("near-coincident coordinates: formal closed-form value", stacklevel=2)
     total = 0.0
-    for j in range(N):
-        s = schur_eval(hook_partition(M, N, j), u)
-        total += abs(complex(s)) ** 2 / cs[j]
-    return float(total)
+    for s, cj in zip(hook_values(M, [u])[0], cs):
+        total += abs(complex(s)) ** 2 / cj
+    return total
 
 
 def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> RayleighResult:
@@ -132,7 +120,7 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
     N = A.shape[0]
-    cs = _coefficients(c, N)
+    cs = coefficients(c, N)
     pi = strata.stratify(A, strata.GroupTag.TRIVIAL, tol)
     Q = np.zeros((N, len(pi.blocks)), dtype=complex)
     for col, block in enumerate(pi.blocks):

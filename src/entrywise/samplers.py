@@ -73,13 +73,6 @@ def _outer_rows(U: np.ndarray) -> np.ndarray:
     return U[:, :, None] * U[:, None, :]
 
 
-def near_corner_rank_one(N: int, rho: float, deltas=NEAR_CORNER_DELTAS):
-    """Rank-one samples u u^T along :func:`near_corner_path` with root sqrt(rho);
-    these witness near-extremal behaviour of the thresholds."""
-    for u in near_corner_path(N, np.sqrt(float(rho)), deltas):
-        yield np.outer(u, u)
-
-
 SAMPLE_BATCH = 1024  # largest block of random draws built at once
 
 

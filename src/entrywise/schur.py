@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import all_exact, det_exact
+from .partitions import hook_partition
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -75,6 +76,20 @@ def schur_eval(lam, x):
     value = np.linalg.det(arr)
     has_complex = any(isinstance(v, complex) or np.iscomplexobj(v) for v in xs)
     return value if has_complex else value.real
+
+
+def hook_values(M: int, points) -> list:
+    """Rows [s_mu_0(x), ..., s_mu_{N-1}(x)], one per point x, mu_j = hook_partition(M, N, j).
+
+    N is the common length of the points; the N hook shapes are built once
+    per call and each value is a :func:`schur_eval`.  Requires M >= N.
+    """
+    points = list(points)
+    if not points:
+        return []
+    N = len(points[0])
+    hooks = [hook_partition(M, N, j) for j in range(N)]
+    return [[schur_eval(mu, x) for mu in hooks] for x in points]
 
 
 def ssyt_count(lam, n: int) -> int:

@@ -203,6 +203,11 @@ def _verified_split(H, comp, related, group: GroupTag, tol: float, scale: float)
     return groups
 
 
+def _require_group(group) -> None:
+    if not isinstance(group, GroupTag):
+        raise ValueError(f"unknown group {group!r}")
+
+
 def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     """Maximal partition with rank <= 1, single-G-orbit diagonal blocks.
 
@@ -217,8 +222,7 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     linear in its b^2 entries (all pairs only when their spread lies between
     half the cut and the cut) and one SVD of the b x b block.
     """
-    if not isinstance(group, GroupTag):
-        raise ValueError(f"unknown group {group!r}")
+    _require_group(group)
     return _stratify(spectral.require_psd(A, tol), group, tol)
 
 
@@ -247,6 +251,7 @@ def verify_offdiagonal_structure(
     A, pi: IndexPartition, group: GroupTag, tol: float = 1e-9
 ) -> bool:
     """Check rank <= 1 and single-orbit entries on every off-diagonal block of pi."""
+    _require_group(group)
     H = spectral.require_psd(A, tol)
     if pi.size != H.shape[0]:
         raise ValueError("partition size does not match matrix")
@@ -369,8 +374,7 @@ def generate_in_stratum(
     merging, and the construction is verified by a stratify round trip
     (retried with a fresh seed on failure).
     """
-    if not isinstance(group, GroupTag):
-        raise ValueError(f"unknown group {group!r}")
+    _require_group(group)
     for attempt in range(max_tries):
         rng = np.random.default_rng(seed + attempt)
         U = _block_vectors(pi, group, rng)

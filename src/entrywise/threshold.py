@@ -15,11 +15,11 @@ import numpy as np
 
 from . import spectral
 from .backends import is_exact
-from .hadamard import entrywise_poly, h_matrix, hadamard_power
-from .partitions import generalized_binomial, hook_partition
+from .hadamard import coefficients, entrywise_poly, h_matrix, hadamard_power
+from .partitions import generalized_binomial
 from .psd import psd_check
 from .samplers import near_corner_path, psd_disc_batches
-from .schur import schur_eval
+from .schur import hook_values
 
 BOUNDARY_WIDTH = 1e-12
 
@@ -41,6 +41,9 @@ class CoefficientTuple:
     def __len__(self) -> int:
         return len(self.c)
 
+    def __iter__(self):
+        return iter(self.c)
+
 
 @dataclass
 class PositivityVerdict:
@@ -50,12 +53,6 @@ class PositivityVerdict:
     worst_min_eigenvalue: float
 
 
-def _coeffs(c) -> tuple:
-    if isinstance(c, CoefficientTuple):
-        return c.c
-    return tuple(c)
-
-
 def threshold_constant(c, M: int, N: int, rho):
     """C(c; z^M; N, rho) = sum_j binom(M,j)^2 binom(M-j-1,N-j-1)^2 rho^(M-j) / c_j.
 
@@ -63,11 +60,7 @@ def threshold_constant(c, M: int, N: int, rho):
     M < N only the j = M term survives and the value is exactly 1/c_M.
     Exact inputs (Fractions) give an exact value.
     """
-    cs = _coeffs(c)
-    if len(cs) != N:
-        raise ValueError(f"need {N} coefficients, got {len(cs)}")
-    if any(not (x > 0) for x in cs):
-        raise ValueError("coefficients must be positive")
+    cs = coefficients(c, N)
     if not (rho > 0):
         raise ValueError("rho must be positive")
     if M < 0:
@@ -88,9 +81,7 @@ def partial_constants(c, M: int, N: int, rho) -> tuple:
     for the corresponding lower-dimensional truncation, and the chain is
     strictly increasing in m with C_N the full constant.  Requires M >= N.
     """
-    cs = _coeffs(c)
-    if len(cs) != N:
-        raise ValueError(f"need {N} coefficients, got {len(cs)}")
+    cs = coefficients(c, N)
     if M < N:
         raise ValueError(f"need M >= N, got M={M}, N={N}")
     return tuple(
@@ -180,9 +171,7 @@ def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
     candidate set), with pairwise-distinct coordinates approaching the corner.
     Converges to threshold_constant from below as grid grows.
     """
-    cs = _coeffs(c)
-    if len(cs) != N:
-        raise ValueError(f"need {N} coefficients, got {len(cs)}")
+    cs = coefficients(c, N)
     if grid < 2:
         raise ValueError("grid must be at least 2")
     if M < N:
@@ -192,13 +181,9 @@ def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
     if N == 1:
         # single coordinate: the closed cube corner itself is admissible
         deltas.append(0.0)
-    hooks = [hook_partition(M, N, j) for j in range(N)]
     best = -np.inf
-    for u in near_corner_path(N, float(rho) ** 0.5, deltas).tolist():
-        value = sum(
-            float(schur_eval(hooks[j], u)) ** 2 / float(cs[j]) for j in range(N)
-        )
-        best = max(best, value)
+    for row in hook_values(M, near_corner_path(N, float(rho) ** 0.5, deltas).tolist()):
+        best = max(best, sum(float(s) ** 2 / float(cj) for s, cj in zip(row, cs)))
     return float(best)
 
 
@@ -254,11 +239,11 @@ def horn_necessity_witness(
 
 def cross_dim_inequality_check(c, M: int, N: int, rho) -> bool:
     """C(c; z^M; N, rho) >= M * C((c_1, 2 c_2, ..., (N-1) c_{N-1}); z^(M-1); N-1, rho)."""
-    cs = _coeffs(c)
     if N < 2:
         raise ValueError("need N >= 2")
     if M < N:
         raise ValueError(f"need M >= N, got M={M}, N={N}")
+    cs = coefficients(c, N)
     left = threshold_constant(cs, M, N, rho)
     derived = tuple(k * cs[k] for k in range(1, N))
     right = M * threshold_constant(derived, M - 1, N - 1, rho)
@@ -275,10 +260,8 @@ def _validate_disc_psd(A: np.ndarray, rho, tol: float) -> None:
 def lmi_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
     """Loewner inequality A^(oM) <= C * sum_j c_j A^(oj) at the sharp constant."""
     A = np.asarray(A, dtype=complex)
-    cs = _coeffs(c)
     N = A.shape[0]
-    if len(cs) != N:
-        raise ValueError(f"need {N} coefficients, got {len(cs)}")
+    cs = coefficients(c, N)
     _validate_disc_psd(A, rho, tol)
     C = float(threshold_constant(cs, M, N, rho))
     F = C * np.asarray(h_matrix([float(x) for x in cs], A)) - hadamard_power(A, M)
@@ -293,12 +276,10 @@ def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> boo
     polynomial sends A to a positive definite matrix, not merely PSD.
     """
     A = np.asarray(A, dtype=complex)
-    cs = _coeffs(c)
     N = A.shape[0]
     if N < 2:
         raise ValueError("need N >= 2")
-    if len(cs) != N:
-        raise ValueError(f"need {N} coefficients, got {len(cs)}")
+    cs = coefficients(c, N)
     if M < N:
         raise ValueError(f"need M >= N, got M={M}, N={N}")
     _validate_disc_psd(A, rho, tol)

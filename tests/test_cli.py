@@ -260,3 +260,19 @@ def test_experiment_cross_dim(capsys):
     assert rep["results"]["chain_violations"] == 0
     assert rep["results"]["cross_dim_violations"] == 0
     assert rep["results"]["min_ratio"] >= 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--c", "1,1", "--M", "2", "--N", "2", "--rho", "1/0"],
+        ["threshold", "--c", "1,1", "--M", "2", "--N", "2", "--rho", "1", "--cprime", "1/0"],
+        ["experiment", "sharpness", "--rho", "1/0"],
+        ["experiment", "power-nonpreservation", "--rho", "1/0"],
+    ],
+)
+def test_zero_denominator_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error:")
+    assert out == ""

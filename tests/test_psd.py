@@ -15,7 +15,7 @@ from entrywise.psd import (
 )
 from entrywise.samplers import psd_disc_samples, random_separated_complex
 from entrywise.strata import GroupTag, IndexPartition, generate_in_stratum
-from entrywise.threshold import threshold_constant
+from entrywise.threshold import CoefficientTuple, threshold_constant
 
 
 def test_psd_check_basic():
@@ -165,3 +165,18 @@ def test_discontinuity_probe_validates_epsilons():
         discontinuity_probe((1.0, 1.0), 2, 2, 1.0, (0.1, 0.3))
     with pytest.raises(ValueError):
         discontinuity_probe((1.0, 1.0), 2, 2, 1.0, ())
+
+
+def test_coefficient_tuple_accepted_by_every_route():
+    plain = (1.0, 2.0, 0.5)
+    ct = CoefficientTuple(plain, cprime=-0.1)
+    A = np.array([[2, 1 + 0.5j, 0.25], [1 - 0.5j, 3, -0.5 + 1j], [0.25, -0.5 - 1j, 2]])
+    u = [0.9, 0.5, 0.2]
+    for M in (1, 4):
+        a, b = rayleigh_constant(ct, M, A), rayleigh_constant(plain, M, A)
+        assert a.value == b.value and np.array_equal(a.maximizer, b.maximizer)
+        a, b = rayleigh_variational(ct, M, A), rayleigh_variational(plain, M, A)
+        assert a.value == b.value and np.array_equal(a.maximizer, b.maximizer)
+        assert rayleigh_rank_one(ct, M, u) == rayleigh_rank_one(plain, M, u)
+    probe = discontinuity_probe(ct, 4, 3, 1.0, (0.1, 0.01))
+    assert probe == discontinuity_probe(plain, 4, 3, 1.0, (0.1, 0.01))

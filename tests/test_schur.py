@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from entrywise.partitions import Partition, hook_partition
+from entrywise.samplers import random_gaussian_rational_vector
 from entrywise.schur import (
     EnumerationBudgetError,
     complete_homogeneous,
+    hook_values,
     principal_specialization,
     schur_eval,
     schur_eval_ssyt_oracle,
@@ -129,3 +131,26 @@ def test_principal_specialization_vanishing_denominator():
     # z = -1 makes z^3 - z^1 vanish once three variables are in play
     with pytest.raises(ValueError):
         principal_specialization(Partition((1, 0, 0)), -1, 3)
+
+
+def test_hook_values_match_tableau_oracle():
+    rng = random.Random(11)
+    for N in range(1, 5):
+        for M in range(N, N + 4):
+            points = [random_gaussian_rational_vector(rng, N) for _ in range(3)]
+            rows = hook_values(M, points)
+            assert len(rows) == len(points)
+            for x, row in zip(points, rows):
+                assert row == [
+                    schur_eval_ssyt_oracle(hook_partition(M, N, j), x) for j in range(N)
+                ]
+                # one point at a time gives the same row
+                assert hook_values(M, [x]) == [row]
+
+
+def test_hook_values_float_rows_match_one_point_calls():
+    points = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 3)).tolist()
+    rows = hook_values(5, points)
+    assert rows == [hook_values(5, [x])[0] for x in points]
+    assert rows[2] == [schur_eval(hook_partition(5, 3, j), points[2]) for j in range(3)]
+    assert hook_values(5, []) == []

@@ -222,3 +222,10 @@ def test_stratify_monotone_in_group(n, data):
     p_cx = stratify(A, GroupTag.NONZERO_COMPLEX)
     assert refinement_leq(p_triv, p_s1)
     assert refinement_leq(p_s1, p_cx)
+
+
+@pytest.mark.parametrize("pi", [single_block_partition(2), singleton_partition(2)])
+def test_verify_offdiagonal_structure_rejects_unknown_group(pi):
+    # a single-block partition has no off-diagonal block for the orbit test to reject the group
+    with pytest.raises(ValueError, match="unknown group 'trivial'"):
+        verify_offdiagonal_structure(np.eye(2), pi, "trivial")

@@ -171,12 +171,13 @@ def test_lmi_check_random_samples():
 def test_lmi_check_fails_below_threshold():
     # replacing C by C/2 must break the inequality somewhere on the path
     from entrywise.hadamard import h_matrix, hadamard_power
-    from entrywise.samplers import near_corner_rank_one
+    from entrywise.samplers import NEAR_CORNER_DELTAS, near_corner_path
 
     c = (1.0, 1.0)
     C = float(threshold_constant(c, 2, 2, 1.0))
     broke = False
-    for A in near_corner_rank_one(2, 1.0):
+    for u in near_corner_path(2, 1.0, NEAR_CORNER_DELTAS):
+        A = np.outer(u, u)
         lhs = 0.5 * C * h_matrix(c, A) - hadamard_power(A, 2)
         w = np.linalg.eigvalsh((lhs + lhs.conj().T) / 2)
         if w[0] < -1e-9 * max(1.0, abs(w).max()):
@@ -200,3 +201,18 @@ def test_pd_refinement_needs_distinct_row():
     A = np.ones((2, 2))
     with pytest.raises(ValueError):
         pd_refinement_check(c, 2, 1.0, A)
+
+
+@pytest.mark.parametrize("c", [(1, -1), (1, 0)])
+@pytest.mark.parametrize("M", [1, 3])
+def test_empirical_sharpness_rejects_nonpositive_coefficients(c, M):
+    # at M < N the value is 1/c_M, so the check must come before that shortcut
+    with pytest.raises(ValueError, match="^coefficients must be positive$"):
+        empirical_sharpness(c, M, 2, 1, 10)
+
+
+def test_coefficient_tuple_iterates_over_c():
+    ct = CoefficientTuple((ONE, Fraction(1, 2)), cprime=Fraction(-1, 9))
+    assert tuple(ct) == (ONE, Fraction(1, 2))
+    assert empirical_sharpness(ct, 3, 2, 1, 10) == empirical_sharpness(tuple(ct), 3, 2, 1, 10)
+    assert partial_constants(ct, 3, 2, 1) == partial_constants(tuple(ct), 3, 2, 1)
