@@ -21,7 +21,6 @@ from .backends import Backend
 from .matrixio import load_matrix_file, parse_partition, parse_vector
 from .report import Report
 from .threshold import (
-    CoefficientTuple,
     admissible_verdict,
     empirical_sharpness,
     partial_constants,
@@ -68,9 +67,6 @@ def _common_inputs(args) -> dict:
 def cmd_threshold(args) -> Report:
     backend = BACKENDS[args.backend]
     c = _fractions(args.c)
-    if len(c) != args.N:
-        raise ValueError(f"need N={args.N} coefficients, got {len(c)}")
-    CoefficientTuple(c)  # positivity validation
     rho = _number(args.rho, backend)
     if backend is Backend.FLOAT:
         c = tuple(float(x) for x in c)

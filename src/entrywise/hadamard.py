@@ -1,14 +1,17 @@
 """Hadamard (entrywise) matrix algebra and its determinantal closed forms.
 
-Matrices are either numpy arrays (floating backend) or lists of lists of
-exact scalars.  Identity verification defaults to the exact backend so that
-both sides of each identity agree with == rather than a tolerance.
+Matrices are either numpy arrays (floating backend) or lists of rows of
+exact scalars.  Rows enter as one ``dtype=object`` array, so each identity is
+written once as array algebra; a function given rows returns rows, and one
+given a numpy array returns numpy.  Identity verification defaults to the
+exact backend so that both sides of each identity agree with == rather than
+a tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
@@ -49,54 +52,57 @@ def coefficients(c, N: int) -> tuple:
     return cs
 
 
-def _is_numpy(A) -> bool:
-    return isinstance(A, np.ndarray)
-
-
-def _rows(A):
-    rows = [list(r) for r in A]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+def _matrix(A):
+    """A as an ndarray: numpy input passes through, square rows become one
+    dtype=object array of the same scalars."""
+    if isinstance(A, np.ndarray):
+        return A
+    n = len(A)
+    if any(len(r) != n for r in A):
         raise ValueError("square matrix required")
-    return rows
+    return np.array(A, dtype=object).reshape(n, n)
+
+
+def _like(X, A):
+    """The array X in the format of the input A: numpy for numpy, else rows."""
+    return X if isinstance(A, np.ndarray) else X.tolist()
+
+
+def _det(A):
+    """Determinant: exact elimination on exact scalars, LAPACK otherwise."""
+    X = _matrix(A)
+    return det_exact(X) if X.dtype == object else np.linalg.det(X)
 
 
 def hadamard_power(A, n: int):
     """Entrywise power A^(on) with the convention A^(o0) = all-ones."""
     if n < 0:
         raise ValueError("Hadamard power exponent must be non-negative")
-    if _is_numpy(A):
-        if n == 0:
-            return np.ones_like(A)
-        return A**n
-    rows = _rows(A)
-    if n == 0:
-        return [[1 for _ in row] for row in rows]
-    return [[v**n for v in row] for row in rows]
+    X = _matrix(A)
+    return _like(np.ones_like(X) if n == 0 else X**n, A)
 
 
 def entrywise_poly(coeffs: Mapping[int, object], A):
-    """Apply f(z) = sum_k coeffs[k] * z^k to every entry of A."""
+    """Apply f(z) = sum_k coeffs[k] * z^k to every entry of A.
+
+    Floating input accumulates in complex and comes back real when A and
+    every coefficient are real.  Exact input sums the terms in map order,
+    starting from the first; an empty map gives the zero matrix.
+    """
     if any(k < 0 for k in coeffs):
         raise ValueError("exponents must be non-negative")
-    if _is_numpy(A):
-        out = np.zeros(A.shape, dtype=complex)
+    X = _matrix(A)
+    if X.dtype != object:
+        out = np.zeros(X.shape, dtype=complex)
         for k, c in coeffs.items():
-            out += complex(c) * (np.ones_like(out) if k == 0 else A**k)
-        if not np.iscomplexobj(A) and all(
+            out += complex(c) * hadamard_power(X, k)
+        if not np.iscomplexobj(X) and all(
             not isinstance(c, complex) for c in coeffs.values()
         ):
             return out.real
         return out
-    rows = _rows(A)
-
-    def f(z):
-        total = 0
-        for k, c in coeffs.items():
-            total = total + c * (z**k if k > 0 else 1)
-        return total
-
-    return [[f(v) for v in row] for row in rows]
+    terms = [c * hadamard_power(X, k) for k, c in coeffs.items()]
+    return _like(sum(terms[1:], terms[0]) if terms else np.zeros_like(X), A)
 
 
 def h_matrix(coeffs_ascending, A):
@@ -105,25 +111,20 @@ def h_matrix(coeffs_ascending, A):
 
 
 def rank_one_outer(u, v):
-    """Plain outer product (u_i v_j), no conjugation."""
+    """Plain outer product (u_i v_j), no conjugation: rows for exact u, v."""
     if len(u) != len(v):
         raise ValueError("vectors must have equal length")
     if all_exact(u) and all_exact(v):
-        return [[ui * vj for vj in v] for ui in u]
+        return np.outer(np.array(u, dtype=object), np.array(v, dtype=object)).tolist()
     return np.outer(np.asarray(u), np.asarray(v))
 
 
 def pencil_matrix(spec: PencilSpec, u, v):
     """p_t[u v^T] where p_t(z) = t * sum_j c_j z^j - z^M."""
-    coeffs = {j: spec.t * c for j, c in enumerate(spec.coeffs)}
     A = rank_one_outer(u, v)
-    base = entrywise_poly(coeffs, A)
-    power = hadamard_power(A, spec.M)
-    if _is_numpy(base):
-        return base - power
-    return [
-        [base[i][k] - power[i][k] for k in range(len(base))] for i in range(len(base))
-    ]
+    X = _matrix(A)
+    P = entrywise_poly({j: spec.t * c for j, c in enumerate(spec.coeffs)}, X)
+    return _like(P - hadamard_power(X, spec.M), A)
 
 
 def pencil_det_direct(spec: PencilSpec, u, v):
@@ -132,10 +133,7 @@ def pencil_det_direct(spec: PencilSpec, u, v):
     Fraction-free elimination on the exact backend; numpy determinant on the
     floating backend.  This is the oracle side of the pencil identity check.
     """
-    P = pencil_matrix(spec, u, v)
-    if _is_numpy(P):
-        return np.linalg.det(P)
-    return det_exact(P)
+    return _det(pencil_matrix(spec, u, v))
 
 
 def pencil_det_closed_form(spec: PencilSpec, u, v):
@@ -156,14 +154,11 @@ def pencil_det_closed_form(spec: PencilSpec, u, v):
         raise ValueError("closed form requires nonzero coefficients")
     su, sv = hook_values(spec.M, [u, v])
     hook_sum = sum(a * b / c for a, b, c in zip(su, sv, spec.coeffs))
-    prod_c = 1
-    for c in spec.coeffs:
-        prod_c = prod_c * c
     return (
         spec.t ** (n - 1)
         * vandermonde_det(u)
         * vandermonde_det(v)
-        * prod_c
+        * math.prod(spec.coeffs)
         * (spec.t - hook_sum)
     )
 
@@ -182,9 +177,7 @@ def cauchy_binet_lhs(coeffs_by_exponent: Mapping[int, object], u, v):
     exponents = _validate_exponent_map(coeffs_by_exponent)
     A = rank_one_outer(u, v)
     total = entrywise_poly({n: coeffs_by_exponent[n] for n in exponents}, A)
-    if _is_numpy(A):
-        return np.linalg.det(np.asarray(total, dtype=complex))
-    return det_exact(total)
+    return _det(total if isinstance(total, list) else total.astype(complex))
 
 
 def cauchy_binet_rhs(coeffs_by_exponent: Mapping[int, object], u, v):
@@ -201,38 +194,33 @@ def cauchy_binet_rhs(coeffs_by_exponent: Mapping[int, object], u, v):
     total = 0
     for subset in combinations(exponents, n):
         lam = staircase_complement(StrictTuple(tuple(sorted(subset, reverse=True))))
-        prod_c = 1
-        for e in subset:
-            prod_c = prod_c * coeffs_by_exponent[e]
+        prod_c = math.prod(coeffs_by_exponent[e] for e in subset)
         total = total + schur_eval(lam, u) * schur_eval(lam, v) * prod_c
     return vandermonde_det(u) * vandermonde_det(v) * total
 
 
-def _decomposition_diagonals(A, M: int):
-    """Diagonal weight vectors d_j with A^(oM) = sum_j diag(d_j) A^(oj).
+def _decomposition_weights(A, M: int):
+    """(W, X): A as an object array X of Python scalars, and the weights W
+    whose column j is the diagonal d_j of A^(oM) = sum_j diag(d_j) A^(oj).
 
     d_j[i] = (-1)^(N-j-1) s_hook(M,N,j)(row_i).  For M < N the decomposition
     degenerates to the single trivial term A^(oM) itself.
     """
-    numpy_input = _is_numpy(A)
-    rows = [list(r) for r in (A.tolist() if numpy_input else A)]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("square matrix required")
+    X = _matrix(A.tolist() if isinstance(A, np.ndarray) else A)
     if M < 0:
         raise ValueError("exponent must be non-negative")
-    if M < n:
-        return [[1 if j == M else 0 for _ in range(n)] for j in range(n)], rows
-    return [list(d) for d in zip(*_moment_weights(M, rows))], rows
+    if M >= len(X):
+        return _moment_weights(M, X), X
+    W = np.zeros(X.shape, dtype=object)
+    W[:, M] = 1
+    return W, X
 
 
-def _moment_weights(M: int, points) -> list:
+def _moment_weights(M: int, points) -> np.ndarray:
     """Rows [(-1)^(N-1-j) s_hook(M,N,j)(x)]_j, one per point x: the solution s
     of V(x) s = x^(oM) for pairwise distinct x."""
-    return [
-        [(-1) ** (len(row) - 1 - j) * s for j, s in enumerate(row)]
-        for row in hook_values(M, points)
-    ]
+    S = np.array(hook_values(M, points), dtype=object)
+    return ((-1) ** np.arange(S.shape[-1] - 1, -1, -1)).astype(object) * S
 
 
 def hadamard_decomposition(A, M: int):
@@ -242,37 +230,24 @@ def hadamard_decomposition(A, M: int):
     including repeated rows, because the coefficients are row-wise Schur
     evaluations solving the Vandermonde moment system.
     """
-    diag, _ = _decomposition_diagonals(A, M)
-    n = len(diag[0])
-    if _is_numpy(A):
-        return [np.diag(np.asarray(d, dtype=A.dtype if A.dtype.kind == "c" else float)) for d in diag]
-    return [[[d[i] if i == k else 0 for k in range(n)] for i in range(n)] for d in diag]
+    W, _ = _decomposition_weights(A, M)
+    if isinstance(A, np.ndarray):
+        W = W.astype(A.dtype if A.dtype.kind == "c" else float)
+    return [_like(np.diag(d), A) for d in W.T]
 
 
 def decomposition_residual(A, M: int):
     """A^(oM) - sum_j diag(d_j) A^(oj); identically zero matrix."""
-    diag, rows = _decomposition_diagonals(A, M)
-    n = len(rows)
-    powers = [hadamard_power(rows, j) for j in range(n)]
-    target = hadamard_power(rows, M)
-    residual = []
-    for i in range(n):
-        res_row = []
-        for k in range(n):
-            acc = target[i][k]
-            for j in range(n):
-                acc = acc - diag[j][i] * powers[j][i][k]
-            res_row.append(acc)
-        residual.append(res_row)
-    if _is_numpy(A):
-        return np.asarray(residual, dtype=complex)
-    return residual
+    W, X = _decomposition_weights(A, M)
+    R = hadamard_power(X, M)
+    for j in range(len(X)):
+        R = R - W[:, j, None] * hadamard_power(X, j)
+    return R.astype(complex) if isinstance(A, np.ndarray) else R.tolist()
 
 
 def vandermonde_matrix(u):
     """Rows (u_i^0, u_i^1, ..., u_i^{N-1})."""
-    n = len(u)
-    return [[ui**j for j in range(n)] for ui in u]
+    return np.power.outer(np.array(u, dtype=object), range(len(u))).tolist()
 
 
 def vandermonde_solve_moments(u, M: int):
@@ -290,4 +265,4 @@ def vandermonde_solve_moments(u, M: int):
                 raise ValueError(f"coordinates {a} and {b} coincide")
     if M < n:
         raise ValueError(f"need M >= N, got M={M}, N={n}")
-    return _moment_weights(M, [u])[0]
+    return _moment_weights(M, [u])[0].tolist()

@@ -80,14 +80,23 @@ def parse_vector(text: str, backend: Backend = Backend.FLOAT) -> list:
     return [parse_scalar(p, backend) for p in parts]
 
 
-def _entry_from_cell(cell, backend: Backend):
+def _number(value, backend: Backend, where: str):
+    """A JSON number as a Fraction (exact) or float; ValueError naming `where`."""
+    try:
+        return Fraction(value) if backend is Backend.EXACT else float(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"bad number {value!r} for {where}") from None
+
+
+def _entry_from_cell(cell, backend: Backend, i: int, j: int):
     if not isinstance(cell, dict) or "re" not in cell:
         raise ValueError("matrix entries must be objects with 're' (and optional 'im')")
-    re = cell["re"]
-    im = cell.get("im", 0)
+    where = f"entry (row {i + 1}, column {j + 1})"
+    re = _number(cell["re"], backend, where)
+    im = _number(cell.get("im", 0), backend, where)
     if backend is Backend.EXACT:
-        return GaussianRational(Fraction(re), Fraction(im))
-    return complex(float(re), float(im))
+        return GaussianRational(re, im)
+    return complex(re, im)
 
 
 def load_matrix(text: str, backend: Backend = Backend.FLOAT):
@@ -111,10 +120,11 @@ def load_matrix(text: str, backend: Backend = Backend.FLOAT):
     n = obj.get("n", len(entries))
     if len(entries) != n or any(not isinstance(r, list) or len(r) != n for r in entries):
         raise ValueError(f"'entries' must be an {n} x {n} grid matching 'n'")
-    rows = [[_entry_from_cell(c, backend) for c in r] for r in entries]
+    rows = [[_entry_from_cell(c, backend, i, j) for j, c in enumerate(r)]
+            for i, r in enumerate(entries)]
     rho = obj.get("rho")
     if rho is not None:
-        rho = Fraction(rho) if backend is Backend.EXACT else float(rho)
+        rho = _number(rho, backend, "'rho'")
     if backend is Backend.EXACT:
         return rows, rho
     return np.array(rows, dtype=complex), rho

@@ -11,6 +11,8 @@ matrix or a stack ``(k, N, N)``.  Eigen-solves are looked up on
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -20,12 +22,15 @@ def hermitian_part(X: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(A, tol: float) -> np.ndarray:
-    """Hermitian part of the square matrix A, which must be Hermitian within
-    tol * max(1, max|a_ij|); raises ValueError otherwise."""
+    """Hermitian part of the square matrix A, which must be finite and
+    Hermitian within tol * max(1, max|a_ij|); raises ValueError otherwise."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
-    scale = max(1.0, float(np.abs(A).max()) if A.size else 0.0)
+    amax = float(np.abs(A).max()) if A.size else 0.0
+    if not math.isfinite(amax):  # a NaN would pass every tolerance test below
+        raise ValueError("matrix has a non-finite entry")
+    scale = max(1.0, amax)
     if np.abs(A - A.conj().T).max() > tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return hermitian_part(A)

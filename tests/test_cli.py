@@ -276,3 +276,37 @@ def test_zero_denominator_exit_3(capsys, argv):
     assert code == 3
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_threshold_wrong_coefficient_count_exit_3(capsys):
+    code, out, err = run(
+        capsys, "threshold", "--c", "1,1,1", "--N", "2", "--M", "2", "--rho", "1"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["stratify", "rayleigh"])
+def test_non_finite_matrix_exit_3(capsys, tmp_path, command, literal):
+    f = tmp_path / "bad.json"
+    f.write_text(
+        '{"n": 2, "entries": [[{"re": 1}, {"re": %s}], [{"re": 0}, {"re": 1}]]}' % literal
+    )
+    extra = ["--c", "1,1", "--M", "2"] if command == "rayleigh" else []
+    code, out, err = run(capsys, command, "--matrix", str(f), *extra)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
+@pytest.mark.parametrize("cell", ['{"re": null}', '{"re": [1]}', '{"re": 1, "im": {}}'])
+def test_bad_matrix_cell_exit_3(capsys, tmp_path, cell):
+    f = tmp_path / "bad.json"
+    f.write_text('{"n": 1, "entries": [[%s]]}' % cell)
+    code, out, err = run(capsys, "stratify", "--matrix", str(f))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "row 1, column 1" in err
+    assert "Traceback" not in err

@@ -54,6 +54,25 @@ def test_entrywise_poly_horner_oracle():
             assert abs(F[i, j] - want) < 1e-12
 
 
+def test_entrywise_poly_exact_sum_starts_from_first_term(monkeypatch):
+    # a k-term polynomial costs k - 1 Gaussian-rational additions per entry
+    calls = []
+    add = GaussianRational.__add__
+
+    def counting_add(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__add__", counting_add)
+    monkeypatch.setattr(GaussianRational, "__radd__", counting_add)
+    rng = random.Random(3)
+    rows = [random_gaussian_rational_vector(rng, 3) for _ in range(3)]
+    for coeffs in ({2: Fraction(1, 2)}, {0: Fraction(1), 1: Fraction(-2), 4: Fraction(3)}):
+        calls.clear()
+        entrywise_poly(coeffs, rows)
+        assert len(calls) == 9 * (len(coeffs) - 1)
+
+
 def test_h_matrix_real_input_stays_real():
     A = np.array([[1.0, 0.5], [0.5, 1.0]])
     H = h_matrix((1.0, 2.0, 3.0), A)

@@ -1,5 +1,6 @@
 """Matrix JSON parsing, scalar literals, and the partition text form."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,23 @@ def test_load_matrix_errors():
         load_matrix('{"entries": [[{"im": 1}]]}', Backend.FLOAT)  # missing re
     with pytest.raises(ValueError):
         load_matrix('{"n": 3, "entries": [[{"re": 1}]]}', Backend.FLOAT)  # n mismatch
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ('{"entries": [[{"re": 1}, {"re": null}], [{"re": 0}, {"re": 1}]]}', "row 1, column 2"),
+        ('{"entries": [[{"re": 1}, {"re": 0}], [{"re": 0, "im": [1]}, {"re": 1}]]}', "row 2, column 1"),
+        ('{"entries": [[{"re": {"x": 1}}]]}', "row 1, column 1"),
+        ('{"entries": [[{"re": 1}]], "rho": [1]}', "'rho'"),
+        ('{"entries": [[{"re": 1}]], "rho": {}}', "'rho'"),
+    ],
+    ids=["null", "list", "object", "rho-list", "rho-object"],
+)
+def test_load_matrix_names_bad_cell(text, where, backend):
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_matrix(text, backend)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)

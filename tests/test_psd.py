@@ -14,7 +14,7 @@ from entrywise.psd import (
     rayleigh_variational,
 )
 from entrywise.samplers import psd_disc_samples, random_separated_complex
-from entrywise.strata import GroupTag, IndexPartition, generate_in_stratum
+from entrywise.strata import GroupTag, IndexPartition, generate_in_stratum, stratify
 from entrywise.threshold import CoefficientTuple, threshold_constant
 
 
@@ -24,6 +24,22 @@ def test_psd_check_basic():
     assert not psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "route",
+    [
+        psd_check,
+        lambda A: stratify(A, GroupTag.TRIVIAL),
+        lambda A: rayleigh_constant((1.0, 1.0), 2, A),
+    ],
+    ids=["psd_check", "stratify", "rayleigh_constant"],
+)
+def test_non_finite_entries_rejected(route, bad):
+    # a NaN makes every tolerance comparison False, so it must be caught first
+    with pytest.raises(ValueError, match="non-finite"):
+        route(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_moore_penrose_sqrt_squares_to_pinv():
