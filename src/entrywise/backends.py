@@ -3,7 +3,8 @@
 Exact scalars are ``int``, ``fractions.Fraction``, or :class:`GaussianRational`
 (complex numbers whose real and imaginary parts are both rational).  Floating
 scalars are plain ``float``/``complex``; equality on that side always goes
-through :func:`approx_eq` with a magnitude-scaled tolerance.
+through :func:`approx_eq` with a magnitude-scaled tolerance.  Exact
+determinants and linear solves share one fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -93,14 +94,12 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return GaussianRational(Fraction(1)) / self ** (-exponent)
-        result = GaussianRational(Fraction(1))
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        # binary ladder from the leading bit: no product with 1, no spare square
+        result = self if exponent else GaussianRational(Fraction(1))
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __neg__(self):
@@ -160,48 +159,63 @@ def _coerce_exact(value):
     raise TypeError(f"exact backend scalar required, got {type(value).__name__}")
 
 
-def det_exact(rows):
-    """Determinant by fraction-free (Bareiss) elimination over exact scalars.
-
-    Intermediate divisions are exact, which keeps entry growth polynomial
-    instead of exponential; input entries may mix ints, Fractions, and
-    Gaussian rationals.
-    """
+def _exact_square(rows):
     m = [[_coerce_exact(v) for v in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    if any(len(row) != len(m) for row in m):
         raise ValueError("square matrix required")
-    if n == 0:
-        return Fraction(1)
+    return m
+
+
+def _eliminate(m) -> int:
+    """Fraction-free (Bareiss 1968) forward pass, in place, over n rows of width >= n.
+
+    Every division is exact.  Returns the sign of the row swaps, or 0 when
+    one of the first n - 1 pivot columns is zero.
+    """
+    n = len(m)
     sign = 1
     prev = Fraction(1)
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if i is None:
+                return 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        pivot_row, pivot = m[k], m[k][k]
+        for row in m[k + 1 :]:
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - row[k] * pivot_row[j]) / prev
+        prev = pivot
+    return sign
+
+
+def det_exact(rows):
+    """Determinant of exact scalars (ints, Fractions, Gaussian rationals): the last Bareiss pivot."""
+    m = _exact_square(rows)
+    if not m:
+        return Fraction(1)
+    sign = _eliminate(m)
+    return sign * m[-1][-1] if sign else Fraction(0)
 
 
 def solve_exact(rows, rhs):
-    """Exact linear solve via Cramer's rule; raises ValueError on singular input."""
-    n = len(rows)
-    d = det_exact(rows)
-    if d == 0:
+    """Exact solve of A x = b by eliminating [A | b], then back substitution.
+
+    Raises ValueError on singular A or when len(rhs) differs from the size of A.
+    """
+    m = _exact_square(rows)
+    n = len(m)
+    if len(rhs) != n:
+        raise ValueError(f"right-hand side of length {len(rhs)} for a {n}x{n} matrix")
+    for row, b in zip(m, rhs):
+        row.append(_coerce_exact(b))
+    if n and (_eliminate(m) == 0 or m[n - 1][n - 1] == 0):
         raise ValueError("singular matrix")
-    solution = []
-    for col in range(n):
-        replaced = [list(row) for row in rows]
-        for i in range(n):
-            replaced[i][col] = rhs[i]
-        solution.append(det_exact(replaced) / d)
-    return solution
+    x = [None] * n
+    for i in reversed(range(n)):
+        acc = m[i][n]
+        for j in range(i + 1, n):
+            acc -= m[i][j] * x[j]
+        x[i] = acc / m[i][i]
+    return x

@@ -33,7 +33,6 @@ from .samplers import (
     random_positive_fraction,
 )
 from .threshold import (
-    cross_dim_inequality_check,
     empirical_sharpness,
     horn_necessity_witness,
     partial_constants,
@@ -316,10 +315,10 @@ def run_cross_dim(cfg: CrossDimConfig) -> dict:
         )
         if not ok_chain:
             chain_violations += 1
-        if not cross_dim_inequality_check(c, M, N, rho):
-            cross_violations += 1
         derived = tuple(k * c[k] for k in range(1, N))
         lower = M * threshold_constant(derived, M - 1, N - 1, rho)
+        if total < lower:
+            cross_violations += 1
         if lower > 0:
             ratio = float(total / lower)
             min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)

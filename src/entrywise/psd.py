@@ -66,6 +66,12 @@ def moore_penrose_sqrt(A: np.ndarray, tol: float = RANK_CUT) -> np.ndarray:
     return (V * inv) @ V.conj().T
 
 
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x scaled to unit Euclidean norm; a zero vector is returned unchanged."""
+    norm = np.linalg.norm(x)
+    return x / norm if norm > 0 else x
+
+
 def rayleigh_constant(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> RayleighResult:
     """Extreme critical value via the spectral radius of h_c[A]^(+/2) A^(oM) h_c[A]^(+/2).
 
@@ -77,12 +83,7 @@ def rayleigh_constant(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> 
         raise ValueError("zero matrix has no Rayleigh constant")
     S = moore_penrose_sqrt(np.asarray(h_matrix(coefficients(c, A.shape[0]), A)))
     w, V = np.linalg.eigh(spectral.hermitian_part(S @ hadamard_power(A, M) @ S))
-    value = float(w[-1])
-    maximizer = S @ V[:, -1]
-    norm = np.linalg.norm(maximizer)
-    if norm > 0:
-        maximizer = maximizer / norm
-    return RayleighResult(value, maximizer, "spectral-radius")
+    return RayleighResult(float(w[-1]), _unit(S @ V[:, -1]), "spectral-radius")
 
 
 def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
@@ -141,11 +142,7 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
         )
         Q = Q @ R
     idx = int(np.argmax(w))
-    maximizer = Q @ W[:, idx]
-    norm = np.linalg.norm(maximizer)
-    if norm > 0:
-        maximizer = maximizer / norm
-    return RayleighResult(float(w[idx]), maximizer, "variational")
+    return RayleighResult(float(w[idx]), _unit(Q @ W[:, idx]), "variational")
 
 
 def discontinuity_probe(

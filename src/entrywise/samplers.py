@@ -81,7 +81,6 @@ def psd_disc_batches(
     rho: float,
     count: int,
     rng: np.random.Generator,
-    include_near_corner: bool = True,
 ):
     """The stream of :func:`psd_disc_samples` as stacked blocks.
 
@@ -98,12 +97,10 @@ def psd_disc_batches(
     """
     rho = float(rho)
     root = np.sqrt(rho)
-    start = 0
-    if include_near_corner:
-        U = near_corner_path(N, root, NEAR_CORNER_DELTAS)[:count]
-        if len(U):
-            yield [(np.arange(len(U)), _outer_rows(U))]
-        start = len(U)
+    U = near_corner_path(N, root, NEAR_CORNER_DELTAS)[:count]
+    if len(U):
+        yield [(np.arange(len(U)), _outer_rows(U))]
+    start = len(U)
     while start < count:
         stop = min(count, start + SAMPLE_BATCH)
         positions = np.arange(start, stop)
@@ -142,7 +139,6 @@ def psd_disc_samples(
     rho: float,
     count: int,
     rng: np.random.Generator,
-    include_near_corner: bool = True,
 ):
     """Yield `count` PSD matrices with entries in the closed disc of radius rho.
 
@@ -151,7 +147,7 @@ def psd_disc_samples(
     correlation draws.  The samples are built in batches by
     :func:`psd_disc_batches` and yielded one at a time in draw order.
     """
-    for block in psd_disc_batches(N, rho, count, rng, include_near_corner):
+    for block in psd_disc_batches(N, rho, count, rng):
         positions = np.concatenate([p for p, _ in block])
         matrices = [A for _, stack in block for A in stack]
         for i in np.argsort(positions):

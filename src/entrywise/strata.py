@@ -24,6 +24,8 @@ from . import spectral
 _ORBIT_MARGIN = 1e-12
 # Entries compared at a time when the orbit test checks every pair.
 _PAIR_CHUNK = 1 << 18
+# Seeds seed, seed + 1, ... tried by generate_in_stratum and closure_probe.
+_MAX_ATTEMPTS = 25
 
 
 class GroupTag(Enum):
@@ -365,7 +367,6 @@ def generate_in_stratum(
     pi: IndexPartition,
     group: GroupTag,
     seed: int = 0,
-    max_tries: int = 25,
 ) -> np.ndarray:
     """Random PSD matrix whose stratification under `group` is exactly `pi`.
 
@@ -375,7 +376,7 @@ def generate_in_stratum(
     (retried with a fresh seed on failure).
     """
     _require_group(group)
-    for attempt in range(max_tries):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         U = _block_vectors(pi, group, rng)
         C = _random_core(len(pi.blocks), rng)
@@ -416,7 +417,7 @@ def closure_probe(
     for a, sb in enumerate(pi_source.blocks):
         E[a, target_of[sb[0]]] = 1.0
 
-    for attempt in range(25):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
         U_t = _block_vectors(pi_target, group, rng)
         C_t = _random_core(k_t, rng)

@@ -42,13 +42,12 @@ def _correlation(N, rho, rng):
     return rho * (A / np.outer(d, d))
 
 
-def reference_samples(N, rho, count, rng, include_near_corner=True):
+def reference_samples(N, rho, count, rng):
     out = []
-    if include_near_corner:
-        root = np.sqrt(float(rho))
-        for delta in NEAR_CORNER_DELTAS[:count]:
-            u = np.array([root * (1.0 - delta * k / N) for k in range(1, N + 1)])
-            out.append(np.outer(u, u))
+    root = np.sqrt(float(rho))
+    for delta in NEAR_CORNER_DELTAS[:count]:
+        u = np.array([root * (1.0 - delta * k / N) for k in range(1, N + 1)])
+        out.append(np.outer(u, u))
     kinds = (_wishart, _rank_one, _correlation)
     while len(out) < count:
         out.append(kinds[len(out) % 3](N, rho, rng))
@@ -126,9 +125,9 @@ def test_psd_disc_samples_match_reference(seed):
     rng = random.Random(seed)
     for N in (1, 2, 3, 4, 6):
         rho = rng.choice((0.25, 1.0, 1.75))
-        for count, near in ((1, True), (7, True), (10, True), (101, True), (50, False)):
-            want = reference_samples(N, rho, count, np.random.default_rng(seed), near)
-            got = list(psd_disc_samples(N, rho, count, np.random.default_rng(seed), near))
+        for count in (1, 7, 10, 101):
+            want = reference_samples(N, rho, count, np.random.default_rng(seed))
+            got = list(psd_disc_samples(N, rho, count, np.random.default_rng(seed)))
             assert len(got) == len(want) == count
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
