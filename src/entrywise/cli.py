@@ -10,6 +10,7 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -234,7 +235,9 @@ def cmd_experiment(args) -> Report:
     return Report("experiment", inputs, {"tol": args.tol}, results, witnesses)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared by every later one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=float, default=1e-9)

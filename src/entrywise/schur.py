@@ -1,8 +1,11 @@
 """Point evaluation of Schur polynomials over exact and floating scalars.
 
-The production route is the Jacobi-Trudi determinant in complete homogeneous
-polynomials, which stays well-defined at repeated coordinates.  The bialternant
-ratio and explicit tableau enumeration exist as independent cross-checks.
+Exact hook values s_(a,1^b) come from the e/h sum
+s_(a,1^b) = sum_i (-1)^i e_{b-i} h_{a+i} over Gaussian integers
+(:func:`hook_values`).  The Jacobi-Trudi determinant in complete homogeneous
+polynomials, well-defined at repeated coordinates, serves floating points
+and every other shape (:func:`schur_eval`).  The bialternant ratio and
+explicit tableau enumeration exist as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .backends import all_exact, det_exact
+from .backends import _gaussian_integer_rows, _rational, all_exact, det_exact
 from .partitions import hook_partition
 
 
@@ -81,15 +84,62 @@ def schur_eval(lam, x):
 def hook_values(M: int, points) -> list:
     """Rows [s_mu_0(x), ..., s_mu_{N-1}(x)], one per point x, mu_j = hook_partition(M, N, j).
 
-    N is the common length of the points; the N hook shapes are built once
-    per call and each value is a :func:`schur_eval`.  Requires M >= N.
+    N is the common length of the points; requires M >= N.  Exact points take
+    the hook expansion s_(a,1^b) = sum_i (-1)^i e_{b-i} h_{a+i} (Macdonald,
+    Symmetric Functions, ch. I) over Gaussian integers; floating points take
+    one Jacobi-Trudi :func:`schur_eval` per hook.
     """
     points = list(points)
     if not points:
         return []
     N = len(points[0])
     hooks = [hook_partition(M, N, j) for j in range(N)]
-    return [[schur_eval(mu, x) for mu in hooks] for x in points]
+    return [
+        _exact_hooks(M, N, x) if all_exact(x) else [schur_eval(mu, x) for mu in hooks]
+        for x in points
+    ]
+
+
+def _exact_hooks(M: int, N: int, x) -> list:
+    """The N hook values at one exact point, from h_0..h_M and e_0..e_{N-1}.
+
+    The point is scaled to Gaussian integers z = D x, so a hook of degree
+    M - j is its value at z divided once by D^(M - j).  Values have the type
+    that det_exact gives for the Jacobi-Trudi matrix: a GaussianRational when
+    x has one, else a Fraction, and the Fraction 0 for a vanishing hook with
+    a zero part (j >= 1: the matrix's first N - 1 columns are then dependent).
+    """
+    if len(x) != N:
+        raise ValueError(f"partition length {N} != point length {len(x)}")
+    (zr,), (zi,), D, gaussian = _gaussian_integer_rows([x])
+    hr, hi = [1] + [0] * M, [0] * (M + 1)
+    er, ei = [1] + [0] * (N - 1), [0] * N
+    for a, b in zip(zr, zi):
+        # one more variable a + bi: h_k += z h_{k-1} upwards, e_k += z e_{k-1} downwards
+        for k in range(1, M + 1):
+            hr[k], hi[k] = (
+                hr[k] + a * hr[k - 1] - b * hi[k - 1],
+                hi[k] + a * hi[k - 1] + b * hr[k - 1],
+            )
+        for k in range(N - 1, 0, -1):
+            er[k], ei[k] = (
+                er[k] + a * er[k - 1] - b * ei[k - 1],
+                ei[k] + a * ei[k - 1] + b * er[k - 1],
+            )
+    arm = M - N + 1
+    row = []
+    for j in range(N):
+        leg = N - 1 - j
+        sr = si = 0
+        for i in range(leg + 1):
+            sign = -1 if i % 2 else 1
+            sr += sign * (er[leg - i] * hr[arm + i] - ei[leg - i] * hi[arm + i])
+            si += sign * (er[leg - i] * hi[arm + i] + ei[leg - i] * hr[arm + i])
+        if j and not (sr or si):
+            row.append(Fraction(0))
+        else:
+            row.append(_rational(sr, si, D ** (M - j), 0, gaussian))
+    return row
 
 
 def ssyt_count(lam, n: int) -> int:

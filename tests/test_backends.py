@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrywise.backends import (
@@ -74,14 +74,24 @@ def _scalar(rng, kind):
 
 
 def _systems(seed):
-    """(kind, A, b) over n = 0..6, a third of them with a repeated row."""
+    """(kind, A, b) over n = 0..8, a third of them singular by construction:
+    a repeated row, an early zero pivot column or a zero last pivot."""
     rng = random.Random(seed)
     for kind in ("int", "fraction", "gaussian", "mixed"):
-        for n in range(7):
-            for _ in range(6):
+        for n in range(9):
+            for _ in range(6 if n <= 6 else 2):
                 A = [[_scalar(rng, kind) for _ in range(n)] for _ in range(n)]
-                if n >= 2 and rng.random() < 0.3:
+                shape = rng.choice(("random", "random", "random", "repeated", "early", "last"))
+                if n >= 2 and shape == "repeated":
                     A[-1] = list(A[0])
+                elif n >= 3 and shape == "early":
+                    # column 1 a multiple of column 0: the second pivot column is zero
+                    for row in A:
+                        row[1] = 2 * row[0]
+                elif n >= 2 and shape == "last":
+                    # last column the sum of the first two: only the last pivot is zero
+                    for row in A:
+                        row[-1] = row[0] + row[1 % (n - 1)]
                 yield kind, A, [_scalar(rng, kind) for _ in range(n)]
 
 
@@ -91,6 +101,13 @@ def _same(xs, ys):
 
 fracs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 gaussians = st.builds(GaussianRational, fracs, fracs)
+scalars = st.one_of(st.integers(-5, 5), fracs, gaussians)
+systems = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(scalars, min_size=n, max_size=n),
+    )
+)
 
 
 @given(gaussians, gaussians)
@@ -153,6 +170,27 @@ def test_pow_repr_matches_repeated_product():
                 product = product * x
             want = product if k >= 0 else one / product
             assert x**k == want and repr(x**k) == repr(want)
+
+
+def test_hash_agrees_with_eq():
+    for value in (0, 2, -3, Fraction(1, 2), Fraction(-7, 3)):
+        z = GaussianRational(value)
+        assert z == value and hash(z) == hash(value)
+        assert len({z, value}) == 1
+    z = GaussianRational(Fraction(1, 2), Fraction(1))
+    assert hash(z) == hash(GaussianRational(Fraction(2, 4), 1))
+    assert len({z, Fraction(1, 2)}) == 2
+
+
+def test_scalar_keeps_fraction_parts():
+    half = Fraction(1, 2)
+    z = GaussianRational(half, 3)
+    assert z.re is half
+    assert type(z.im) is Fraction and z.im == 3
+    assert repr(z) == "GaussianRational(re=Fraction(1, 2), im=Fraction(3, 1))"
+    assert not hasattr(z, "__dict__")
+    with pytest.raises(AttributeError):
+        z.re = Fraction(1)
 
 
 def test_mixed_coercion():
@@ -237,6 +275,20 @@ def test_solve_matches_cramer(seed):
             continue
         assert _same(solve_exact(A, b), want)
     assert singular > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems)
+def test_det_and_solve_match_references(system):
+    A, b = system
+    assert repr(det_exact(A)) == repr(reference_det(A))
+    try:
+        want = cramer_solve(A, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve_exact(A, b)
+        return
+    assert _same(solve_exact(A, b), want)
 
 
 def test_solve_matches_cramer_on_vandermonde_moments():

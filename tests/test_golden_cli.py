@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from entrywise.cli import main
+from entrywise.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +65,22 @@ def test_golden_stdout(name, capsys, monkeypatch):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_golden_stdout_in_one_process_with_errors_between(capsys, monkeypatch):
+    # the parser is built once per process: a usage error (exit 2) and a
+    # precondition failure (exit 3) after each case leave later output unchanged
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(GOLDEN)
+    for name in sorted(CASES):
+        code, argv = CASES[name]
+        assert main(argv) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        with pytest.raises(SystemExit) as usage:
+            main(["threshold", "--c", "1,1", "--M", "two"])
+        assert usage.value.code == 2
+        assert main(["stratify", "--matrix", "no-such-file.json"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 if __name__ == "__main__":

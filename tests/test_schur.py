@@ -1,4 +1,9 @@
-"""Schur evaluation: Jacobi-Trudi route against the SSYT enumeration oracle."""
+"""Schur evaluation: Jacobi-Trudi route against the SSYT enumeration oracle.
+
+Exact hook values come from e/h sums; ``jacobi_trudi_hooks`` keeps the
+Jacobi-Trudi route they replaced as a reference (repr-identical results
+required).
+"""
 
 import random
 from fractions import Fraction
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entrywise.backends import GaussianRational
 from entrywise.partitions import Partition, hook_partition
 from entrywise.samplers import random_gaussian_rational_vector
 from entrywise.schur import (
@@ -20,6 +26,30 @@ from entrywise.schur import (
     ssyt_count,
     vandermonde_det,
 )
+
+
+def jacobi_trudi_hooks(M, points):
+    """Hook values as one Jacobi-Trudi determinant per hook."""
+    return [[schur_eval(hook_partition(M, len(x), j), x) for j in range(len(x))] for x in points]
+
+
+def _exact_points(rng, kind, N):
+    """Points of one kind: random, one repeated coordinate, all equal, all zero."""
+
+    def part():
+        return rng.choice((Fraction(0), Fraction(rng.randint(-4, 4), rng.randint(1, 4))))
+
+    def scalar():
+        k = rng.choice(("int", "fraction", "gaussian")) if kind == "mixed" else kind
+        if k == "int":
+            return rng.choice((0, rng.randint(-3, 3)))
+        return part() if k == "fraction" else GaussianRational(part(), part())
+
+    x = [scalar() for _ in range(N)]
+    repeated = [x[0]] + x[:-1]
+    zero = {"int": 0, "fraction": Fraction(0)}.get(kind, GaussianRational())
+    return [x, repeated, [x[-1]] * N, [zero] * N]
+
 
 small_parts = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
@@ -154,3 +184,27 @@ def test_hook_values_float_rows_match_one_point_calls():
     assert rows == [hook_values(5, [x])[0] for x in points]
     assert rows[2] == [schur_eval(hook_partition(5, 3, j), points[2]) for j in range(3)]
     assert hook_values(5, []) == []
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "gaussian", "mixed"])
+def test_exact_hook_values_match_jacobi_trudi_and_tableaux(kind):
+    rng = random.Random(kind)
+    for N in range(1, 6):
+        for M in range(N, N + 5):
+            points = _exact_points(rng, kind, N) + _exact_points(rng, kind, N)
+            rows = hook_values(M, points)
+            assert repr(rows) == repr(jacobi_trudi_hooks(M, points))
+            for x, row in zip(points[:4], rows):
+                assert row == [schur_eval_ssyt_oracle(hook_partition(M, N, j), x) for j in range(N)]
+
+
+def test_exact_hook_value_types():
+    # Fractions for rational points, Gaussian rationals otherwise, except a
+    # vanishing hook with a zero part: the Fraction 0, as Jacobi-Trudi gives it
+    assert hook_values(3, [[1, 2]]) == [[Fraction(6), Fraction(7)]]  # x1^2 x2 + x1 x2^2, h_2
+    assert all(type(v) is Fraction for v in hook_values(3, [[1, 2]])[0])
+    one, minus_one = GaussianRational(1), GaussianRational(-1)
+    (row,) = hook_values(2, [[one, minus_one]])  # s_(1,1) = x1 x2, s_(1) = x1 + x2
+    assert repr(row) == repr([GaussianRational(-1), Fraction(0)])
+    zero = GaussianRational()
+    assert repr(hook_values(3, [[zero, zero]])) == repr([[zero, Fraction(0)]])
