@@ -2,14 +2,15 @@
 
 Exit status: 0 on a completed run (witness-found outcomes included), 2 on
 usage errors (argparse), 3 on precondition violations (bad or unreadable
-matrix file, non-PSD input, inconsistent dimensions).  Reports go to stdout
-and are byte-for-byte reproducible for a fixed seed; runtime and diagnostics
-go to stderr.
+matrix file, non-PSD input, inconsistent dimensions, a number too large for
+a float).  Reports go to stdout and are byte-for-byte reproducible for a
+fixed seed; runtime and diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -93,20 +94,10 @@ def cmd_threshold(args) -> Report:
 
 def cmd_verify_identity(args) -> Report:
     cfg = experiments.IdentitySuiteConfig(
-        which=args.which,
-        max_n=args.max_n,
-        max_m=args.max_m,
-        trials=args.trials,
-        seed=args.seed,
+        which=args.which, max_n=args.max_n, max_m=args.max_m, trials=args.trials, seed=args.seed
     )
     results = experiments.run_identity_suite(cfg)
-    inputs = {
-        "which": args.which,
-        "max_n": args.max_n,
-        "max_m": args.max_m,
-        "trials": args.trials,
-        **_common_inputs(args),
-    }
+    inputs = {**dataclasses.asdict(cfg), "backend": args.backend}
     return Report("verify-identity", inputs, {"exact_arithmetic": True}, results)
 
 
@@ -312,7 +303,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     report.runtime_s = time.perf_counter() - start

@@ -3,6 +3,9 @@
 Each driver takes a frozen config dataclass and returns a plain dict of
 results (plus optional witness matrices) ready to drop into a Report.
 Randomness is seeded; identical configs reproduce identical output.
+
+Each exact identity of `run_identity_suite` is one case generator in its
+which -> generator table; a new identity is a new generator and table entry.
 """
 
 from __future__ import annotations
@@ -27,19 +30,14 @@ from .hadamard import (
     vandermonde_matrix,
     vandermonde_solve_moments,
 )
-from .samplers import (
-    random_fraction,
-    random_gaussian_rational_vector,
-    random_positive_fraction,
-)
+from .samplers import random_fraction, random_positive_fraction
+from .samplers import random_gaussian_rational_vector as _vec
 from .threshold import (
     empirical_sharpness,
     horn_necessity_witness,
     partial_constants,
     threshold_constant,
 )
-
-IDENTITY_KINDS = ("pencil", "cauchy-binet", "decomposition", "moments")
 
 EXPERIMENT_NAMES = (
     "sharpness",
@@ -59,8 +57,63 @@ class IdentitySuiteConfig:
     seed: int = 0
 
 
-def _vec(rng: random.Random, n: int):
-    return random_gaussian_rational_vector(rng, n)
+def _pencil_sizes(cfg: IdentitySuiteConfig):
+    """(N, M) of each pencil or moments case: N <= 4 and M = N..N+5 by default."""
+    for N in range(1, (cfg.max_n or 4) + 1):
+        for M in range(N, (cfg.max_m or N + 5) + 1):
+            yield from itertools.repeat((N, M), cfg.trials)
+
+
+def _pencil_cases(cfg: IdentitySuiteConfig, rng: random.Random):
+    for N, M in _pencil_sizes(cfg):
+        u, v = _vec(rng, N), _vec(rng, N)
+        coeffs = tuple(random_positive_fraction(rng) for _ in range(N))
+        spec = PencilSpec(random_fraction(rng), coeffs, M)
+        lhs, rhs = pencil_det_direct(spec, u, v), pencil_det_closed_form(spec, u, v)
+        yield lhs, rhs, lambda: {"N": N, "M": M, "t": str(spec.t), "u": [str(x) for x in u]}
+
+
+def _cauchy_binet_cases(cfg: IdentitySuiteConfig, rng: random.Random):
+    max_m = cfg.max_m or 6
+    if max_m > 10:
+        raise ValueError(f"cauchy-binet needs max_m <= 10 (exponents come from 0..9), got {max_m}")
+    for N in range(1, (cfg.max_n or 4) + 1):
+        for _ in range(cfg.trials):
+            exponents = rng.sample(range(10), rng.randint(1, max_m))
+            coeffs = {n: random_fraction(rng, nonzero=True) for n in exponents}
+            u, v = _vec(rng, N), _vec(rng, N)
+            lhs, rhs = cauchy_binet_lhs(coeffs, u, v), cauchy_binet_rhs(coeffs, u, v)
+            yield lhs, rhs, lambda: {"N": N, "exponents": sorted(exponents)}
+
+
+def _decomposition_cases(cfg: IdentitySuiteConfig, rng: random.Random):
+    for N in range(1, (cfg.max_n or 5) + 1):
+        for M in range(0, (cfg.max_m or 9) + 1):
+            for trial in range(cfg.trials):
+                rows = [_vec(rng, N) for _ in range(N)]
+                if N >= 2 and trial % 5 == 4:
+                    rows[1] = list(rows[0])  # exercise repeated-row degeneracy
+                yield decomposition_residual(rows, M), [[0] * N] * N, lambda: {"N": N, "M": M}
+
+
+def _moments_cases(cfg: IdentitySuiteConfig, rng: random.Random):
+    for N, M in _pencil_sizes(cfg):
+        u = _vec(rng, N, distinct=True)
+        closed = list(vandermonde_solve_moments(u, M))
+        direct = list(solve_exact(vandermonde_matrix(u), [x**M for x in u]))
+        yield closed, direct, lambda: {"N": N, "M": M, "u": [str(x) for x in u]}
+
+
+# which -> case generator.  A generator draws each case from the suite's rng and
+# yields (left side, right side, counterexample), where counterexample() builds
+# the case's report dict; the suite calls it before drawing the next case.
+_IDENTITY_CASES = {
+    "pencil": _pencil_cases,
+    "cauchy-binet": _cauchy_binet_cases,
+    "decomposition": _decomposition_cases,
+    "moments": _moments_cases,
+}
+IDENTITY_KINDS = tuple(_IDENTITY_CASES)
 
 
 def run_identity_suite(cfg: IdentitySuiteConfig) -> dict:
@@ -69,82 +122,19 @@ def run_identity_suite(cfg: IdentitySuiteConfig) -> dict:
     Every comparison is over Gaussian rationals, so a single failure would be
     an algebra bug, not numerical noise.
     """
-    if cfg.which not in IDENTITY_KINDS:
+    if cfg.which not in _IDENTITY_CASES:
         raise ValueError(f"unknown identity {cfg.which!r}; choose from {IDENTITY_KINDS}")
     if cfg.trials < 1:
         raise ValueError("trials must be positive")
-    rng = random.Random(cfg.seed)
-    cases = 0
-    failures = 0
-    counterexample: Optional[dict] = None
-
-    def record_failure(detail: dict) -> None:
-        nonlocal failures, counterexample
-        failures += 1
-        if counterexample is None:
-            counterexample = detail
-
-    if cfg.which == "pencil":
-        max_n = cfg.max_n or 4
-        for N in range(1, max_n + 1):
-            for M in range(N, (cfg.max_m or N + 5) + 1):
-                for _ in range(cfg.trials):
-                    u = _vec(rng, N)
-                    v = _vec(rng, N)
-                    coeffs = tuple(random_positive_fraction(rng) for _ in range(N))
-                    spec = PencilSpec(random_fraction(rng), coeffs, M)
-                    cases += 1
-                    lhs = pencil_det_direct(spec, u, v)
-                    rhs = pencil_det_closed_form(spec, u, v)
-                    if lhs != rhs:
-                        record_failure(
-                            {"N": N, "M": M, "t": str(spec.t), "u": [str(x) for x in u]}
-                        )
-    elif cfg.which == "cauchy-binet":
-        max_n = cfg.max_n or 4
-        max_m = cfg.max_m or 6
-        for N in range(1, max_n + 1):
-            for _ in range(cfg.trials):
-                m = rng.randint(1, max_m)
-                exponents = rng.sample(range(0, 10), m)
-                coeffs = {n: random_fraction(rng, nonzero=True) for n in exponents}
-                u = _vec(rng, N)
-                v = _vec(rng, N)
-                cases += 1
-                lhs = cauchy_binet_lhs(coeffs, u, v)
-                rhs = cauchy_binet_rhs(coeffs, u, v)
-                if lhs != rhs:
-                    record_failure({"N": N, "exponents": sorted(exponents)})
-    elif cfg.which == "decomposition":
-        max_n = cfg.max_n or 5
-        max_m = cfg.max_m or 9
-        for N in range(1, max_n + 1):
-            for M in range(0, max_m + 1):
-                for trial in range(cfg.trials):
-                    rows = [_vec(rng, N) for _ in range(N)]
-                    if N >= 2 and trial % 5 == 4:
-                        rows[1] = list(rows[0])  # exercise repeated-row degeneracy
-                    cases += 1
-                    residual = decomposition_residual(rows, M)
-                    if any(x != 0 for row in residual for x in row):
-                        record_failure({"N": N, "M": M})
-    else:  # moments
-        max_n = cfg.max_n or 4
-        for N in range(1, max_n + 1):
-            for M in range(N, (cfg.max_m or N + 5) + 1):
-                for _ in range(cfg.trials):
-                    u = random_gaussian_rational_vector(rng, N, distinct=True)
-                    cases += 1
-                    closed = vandermonde_solve_moments(u, M)
-                    V = vandermonde_matrix(u)
-                    target = [x**M for x in u]
-                    direct = solve_exact(V, target)
-                    if list(closed) != list(direct):
-                        record_failure({"N": N, "M": M, "u": [str(x) for x in u]})
-
-    out = {"which": cfg.which, "cases": cases, "failures": failures}
-    if counterexample is not None:
-        out["counterexample"] = counterexample
+    if cfg.max_n < 0 or cfg.max_m < 0:
+        raise ValueError("max_n and max_m must be non-negative; 0 means the per-identity default")
+    out = {"which": cfg.which, "cases": 0, "failures": 0}
+    for lhs, rhs, counterexample in _IDENTITY_CASES[cfg.which](cfg, random.Random(cfg.seed)):
+        out["cases"] += 1
+        if lhs != rhs:
+            out["failures"] += 1
+            if out["failures"] == 1:
+                out["counterexample"] = counterexample()
     return out
 
 

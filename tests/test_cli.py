@@ -310,3 +310,38 @@ def test_bad_matrix_cell_exit_3(capsys, tmp_path, cell):
     assert out == ""
     assert err.startswith("error:") and "row 1, column 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "power-nonpreservation", "--rho", "1e400"],
+        ["experiment", "horn-witness", "--rho", "1e400"],
+        ["experiment", "horn-witness", "--cprime", "1e400"],
+        ["experiment", "sharpness", "--rho", "1e400", "--grid", "4"],
+        ["threshold", "--c", "1e400,1", "--M", "2", "--N", "2", "--rho", "1"],
+        ["threshold", "--c", "1,1", "--M", "2000", "--N", "2", "--rho", "3"],
+        ["rayleigh", "--c", "1e400,1", "--M", "2", "--rank-one", "0.9,0.7"],
+    ],
+)
+def test_float_overflow_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "which, sizes, named",
+    [
+        ("pencil", ["--max-n", "-1"], "max_n"),
+        ("moments", ["--max-m", "-1"], "max_m"),
+        ("cauchy-binet", ["--max-n", "1", "--max-m", "20"], "0..9"),
+        ("cauchy-binet", ["--max-m", "11"], "0..9"),
+    ],
+)
+def test_verify_identity_bad_sizes_exit_3(capsys, which, sizes, named):
+    code, out, err = run(capsys, "verify-identity", "--which", which, *sizes, "--trials", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and named in err
