@@ -163,66 +163,32 @@ def cmd_stratify(args) -> Report:
     return Report("stratify", inputs, {"tol": args.tol}, results, witnesses)
 
 
+def _partition(text):
+    if not text:
+        raise ValueError("closure-probe needs --target and --source partitions")
+    return parse_partition(text)
+
+
+# Experiment config fields whose option needs parsing; every other field takes
+# the parsed option of its own name as it is.
+_EXPERIMENT_READERS = {
+    "c": _fractions,
+    "rho": _fraction,
+    "cprime": lambda text: None if text is None else float(_fraction(text)),
+    "target": _partition,
+    "source": _partition,
+    "group": GROUPS.__getitem__,
+}
+
+
 def cmd_experiment(args) -> Report:
-    name = args.name
-    witnesses: dict = {}
-    inputs = {"name": name, **_common_inputs(args)}
-    if name == "sharpness":
-        c = _fractions(args.c)
-        cfg = experiments.SharpnessConfig(
-            c=c, M=args.M, N=args.N, rho=_fraction(args.rho), grid=args.grid
-        )
-        results = experiments.run_sharpness(cfg)
-        inputs.update({"c": args.c, "M": args.M, "N": args.N, "rho": args.rho})
-    elif name == "horn-witness":
-        c = _fractions(args.c)
-        cprime = float(_fraction(args.cprime)) if args.cprime is not None else None
-        cfg = experiments.HornWitnessConfig(
-            c=c,
-            M=args.M,
-            N=args.N,
-            rho=_fraction(args.rho),
-            cprime=cprime,
-            budget=args.budget,
-            seed=args.seed,
-            tol=args.tol,
-        )
-        results, witnesses = experiments.run_horn_witness(cfg)
-        inputs.update({"c": args.c, "M": args.M, "N": args.N, "rho": args.rho})
-    elif name == "power-nonpreservation":
-        cfg = experiments.PowerSearchConfig(
-            N=args.N,
-            alpha=args.alpha,
-            rho=float(_fraction(args.rho)),
-            budget=args.budget,
-            seed=args.seed,
-            tol=args.tol,
-        )
-        results, witnesses = experiments.run_power_nonpreservation(cfg)
-        inputs.update({"N": args.N, "alpha": args.alpha, "rho": args.rho})
-    elif name == "closure-probe":
-        if not args.target or not args.source:
-            raise ValueError("closure-probe needs --target and --source partitions")
-        cfg = experiments.ClosureProbeConfig(
-            target=parse_partition(args.target),
-            source=parse_partition(args.source),
-            group=GROUPS[args.group],
-            steps=args.steps,
-            seed=args.seed,
-        )
-        results = experiments.run_closure_probe(cfg)
-        inputs.update(
-            {"target": args.target, "source": args.source, "group": args.group}
-        )
-    else:  # cross-dim
-        cfg = experiments.CrossDimConfig(
-            draws=args.draws,
-            max_N=args.max_n or 5,
-            max_M=args.max_m or 10,
-            seed=args.seed,
-        )
-        results = experiments.run_cross_dim(cfg)
-        inputs.update({"draws": args.draws})
+    config, run, echoed = experiments.EXPERIMENTS[args.name]
+    cfg = config(**{
+        f.name: _EXPERIMENT_READERS.get(f.name, lambda value: value)(getattr(args, f.name))
+        for f in dataclasses.fields(config)
+    })
+    results, witnesses = run(cfg)
+    inputs = {"name": args.name, **_common_inputs(args), **{k: getattr(args, k) for k in echoed}}
     return Report("experiment", inputs, {"tol": args.tol}, results, witnesses)
 
 

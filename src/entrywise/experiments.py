@@ -1,8 +1,10 @@
 """Experiment drivers: randomized verification sweeps behind the CLI.
 
-Each driver takes a frozen config dataclass and returns a plain dict of
-results (plus optional witness matrices) ready to drop into a Report.
-Randomness is seeded; identical configs reproduce identical output.
+Each `entrywise experiment` driver takes a frozen config dataclass and
+returns (results, witnesses), two plain dicts ready to drop into a Report.
+Randomness is seeded; identical configs reproduce identical output.  A new
+experiment is one config, one driver and one entry in `EXPERIMENTS`; the CLI
+fills each config field from the option of the same name.
 
 Each exact identity of `run_identity_suite` is one case generator in its
 which -> generator table; a new identity is a new generator and table entry.
@@ -39,15 +41,6 @@ from .threshold import (
     threshold_constant,
 )
 
-EXPERIMENT_NAMES = (
-    "sharpness",
-    "horn-witness",
-    "power-nonpreservation",
-    "closure-probe",
-    "cross-dim",
-)
-
-
 @dataclass(frozen=True)
 class IdentitySuiteConfig:
     which: str
@@ -59,7 +52,10 @@ class IdentitySuiteConfig:
 
 def _pencil_sizes(cfg: IdentitySuiteConfig):
     """(N, M) of each pencil or moments case: N <= 4 and M = N..N+5 by default."""
-    for N in range(1, (cfg.max_n or 4) + 1):
+    max_n = cfg.max_n or 4
+    if 0 < cfg.max_m < max_n:
+        raise ValueError(f"{cfg.which} needs max_m >= max_n = {max_n}, got max_m = {cfg.max_m}")
+    for N in range(1, max_n + 1):
         for M in range(N, (cfg.max_m or N + 5) + 1):
             yield from itertools.repeat((N, M), cfg.trials)
 
@@ -140,36 +136,37 @@ def run_identity_suite(cfg: IdentitySuiteConfig) -> dict:
 
 @dataclass(frozen=True)
 class SharpnessConfig:
-    c: tuple = (Fraction(1), Fraction(1))
-    M: int = 2
-    N: int = 2
-    rho: object = 1
-    grid: int = 200
+    c: tuple
+    M: int
+    N: int
+    rho: object
+    grid: int
 
 
-def run_sharpness(cfg: SharpnessConfig) -> dict:
+def run_sharpness(cfg: SharpnessConfig) -> tuple[dict, dict]:
     closed = float(threshold_constant(cfg.c, cfg.M, cfg.N, cfg.rho))
     empirical = empirical_sharpness(cfg.c, cfg.M, cfg.N, cfg.rho, cfg.grid)
     gap = closed - empirical
-    return {
+    results = {
         "closed_form": closed,
         "empirical": empirical,
         "absolute_gap": gap,
         "relative_gap": gap / closed if closed else 0.0,
         "grid": cfg.grid,
     }
+    return results, {}
 
 
 @dataclass(frozen=True)
 class HornWitnessConfig:
-    c: tuple = (Fraction(1), Fraction(1))
-    M: int = 2
-    N: int = 2
-    rho: object = 1
-    cprime: Optional[float] = None  # None -> 5% beyond the sharp threshold
-    budget: int = 20000
-    seed: int = 0
-    tol: float = 1e-9
+    c: tuple
+    M: int
+    N: int
+    rho: object
+    cprime: Optional[float]  # None -> 5% beyond the sharp threshold
+    budget: int
+    seed: int
+    tol: float
 
 
 def run_horn_witness(cfg: HornWitnessConfig) -> tuple[dict, dict]:
@@ -195,7 +192,7 @@ class PowerSearchConfig:
 
     N: int = 2
     alpha: float = 0.5
-    rho: float = 1.0
+    rho: object = 1.0
     budget: int = 100000
     seed: int = 0
     tol: float = 1e-9
@@ -237,11 +234,14 @@ def run_power_nonpreservation(cfg: PowerSearchConfig) -> tuple[dict, dict]:
         raise ValueError("N must be at least 2")
     if not (cfg.N - 2 < cfg.alpha < cfg.N - 1):
         raise ValueError(f"alpha must lie in ({cfg.N - 2}, {cfg.N - 1})")
-    if cfg.rho <= 0:
+    rho = float(cfg.rho)  # float or Fraction; one that underflows to 0.0 fails here
+    if rho <= 0:
         raise ValueError("rho must be positive")
+    if cfg.budget < 0:
+        raise ValueError("budget must be non-negative")
     n = cfg.N + 1
     results = {"witness_found": False, "trials": 0, "alpha": cfg.alpha, "dimension": n}
-    for A in itertools.islice(_power_candidates(n, cfg.rho, cfg.seed), max(cfg.budget, 0)):
+    for A in itertools.islice(_power_candidates(n, rho, cfg.seed), cfg.budget):
         results["trials"] += 1
         bad = _power_violation(A, cfg.alpha, cfg.tol)
         if bad is not None:
@@ -254,44 +254,47 @@ def run_power_nonpreservation(cfg: PowerSearchConfig) -> tuple[dict, dict]:
 class ClosureProbeConfig:
     target: strata.IndexPartition
     source: strata.IndexPartition
-    group: strata.GroupTag = strata.GroupTag.TRIVIAL
-    steps: int = 8
-    seed: int = 0
+    group: strata.GroupTag
+    steps: int
+    seed: int
 
 
-def run_closure_probe(cfg: ClosureProbeConfig) -> dict:
+def run_closure_probe(cfg: ClosureProbeConfig) -> tuple[dict, dict]:
     rows = strata.closure_probe(cfg.target, cfg.source, cfg.steps, cfg.group, cfg.seed)
-    path_rows = [{"distance": d, "stratum": label} for d, label in rows]
-    return {
-        "rows": path_rows,
+    results = {
+        "rows": [{"distance": d, "stratum": label} for d, label in rows],
         "path_in_source": all(label == cfg.source for _, label in rows[:-1]),
         "limit_in_target": rows[-1][1] == cfg.target,
     }
+    return results, {}
 
 
 @dataclass(frozen=True)
 class CrossDimConfig:
-    draws: int = 100
-    max_N: int = 5
-    max_M: int = 10
-    seed: int = 0
+    draws: int
+    max_n: int  # 0 -> 5
+    max_m: int  # 0 -> 10
+    seed: int
 
 
-def run_cross_dim(cfg: CrossDimConfig) -> dict:
+def run_cross_dim(cfg: CrossDimConfig) -> tuple[dict, dict]:
     """Random sweep of the monotone chain and the cross-dimension inequality.
 
     Exact rational arithmetic throughout, so 'strictly increasing' is a real
     strict comparison and a violation count of zero is meaningful.
     """
-    if cfg.max_N < 2 or cfg.max_M < cfg.max_N:
-        raise ValueError("need max_N >= 2 and max_M >= max_N")
+    max_n, max_m = cfg.max_n or 5, cfg.max_m or 10
+    if max_n < 2 or max_m < max_n:
+        raise ValueError("need max_n >= 2 and max_m >= max_n")
+    if cfg.draws < 0:
+        raise ValueError("draws must be non-negative")
     rng = random.Random(cfg.seed)
     chain_violations = 0
     cross_violations = 0
     min_ratio = None
     for _ in range(cfg.draws):
-        N = rng.randint(2, cfg.max_N)
-        M = rng.randint(N, cfg.max_M)
+        N = rng.randint(2, max_n)
+        M = rng.randint(N, max_m)
         c = tuple(
             Fraction(rng.randint(1, 30), rng.randint(1, 10)) for _ in range(N)
         )
@@ -312,9 +315,21 @@ def run_cross_dim(cfg: CrossDimConfig) -> dict:
         if lower > 0:
             ratio = float(total / lower)
             min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
-    return {
+    results = {
         "draws": cfg.draws,
         "chain_violations": chain_violations,
         "cross_dim_violations": cross_violations,
         "min_ratio": min_ratio,
     }
+    return results, {}
+
+
+# name -> (config class, driver, the CLI options the report echoes under inputs)
+EXPERIMENTS = {
+    "sharpness": (SharpnessConfig, run_sharpness, ("c", "M", "N", "rho")),
+    "horn-witness": (HornWitnessConfig, run_horn_witness, ("c", "M", "N", "rho")),
+    "power-nonpreservation": (PowerSearchConfig, run_power_nonpreservation, ("N", "alpha", "rho")),
+    "closure-probe": (ClosureProbeConfig, run_closure_probe, ("target", "source", "group")),
+    "cross-dim": (CrossDimConfig, run_cross_dim, ("draws",)),
+}
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,3 @@ def hook_dimension(M: int, N: int, j: int) -> int:
     if not (0 <= j < N <= M):
         raise ValueError(f"need 0 <= j < N <= M, got M={M}, N={N}, j={j}")
     return comb(M, j) * comb(M - j - 1, N - j - 1)
-
-
-def generalized_binomial(n: int, k: int) -> int:
-    """Binomial via falling factorial, valid for negative upper argument.
-
-    generalized_binomial(-1, k) == (-1)**k; agrees with math.comb when n >= 0.
-    """
-    if k < 0:
-        raise ValueError("lower index must be non-negative")
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // factorial(k)

@@ -16,7 +16,7 @@ import numpy as np
 from . import spectral
 from .backends import is_exact
 from .hadamard import coefficients, entrywise_poly, h_matrix, hadamard_power
-from .partitions import generalized_binomial
+from .partitions import hook_dimension
 from .psd import psd_check
 from .samplers import near_corner_path, psd_disc_batches
 from .schur import hook_values
@@ -56,22 +56,18 @@ class PositivityVerdict:
 def threshold_constant(c, M: int, N: int, rho):
     """C(c; z^M; N, rho) = sum_j binom(M,j)^2 binom(M-j-1,N-j-1)^2 rho^(M-j) / c_j.
 
-    Generalized binomials make the formula valid for every M >= 0: when
-    M < N only the j = M term survives and the value is exactly 1/c_M.
-    Exact inputs (Fractions) give an exact value.
+    Each binomial product is the hook dimension of the j-th term.  When M < N
+    the constant is exactly 1/c_M, the only term of the formula taken with
+    generalized binomials.  Exact inputs (Fractions) give an exact value.
     """
     cs = coefficients(c, N)
     if not (rho > 0):
         raise ValueError("rho must be positive")
     if M < 0:
         raise ValueError("exponent must be non-negative")
-    total = 0
-    for j in range(N):
-        b = generalized_binomial(M, j) * generalized_binomial(M - j - 1, N - j - 1)
-        if b == 0:
-            continue
-        total = total + b * b * rho ** (M - j) / cs[j]
-    return total
+    if M < N:
+        return rho**0 / cs[M]  # rho**0 is a 1 of rho's type, as in the formula's j = M term
+    return sum(hook_dimension(M, N, j) ** 2 * rho ** (M - j) / cs[j] for j in range(N))
 
 
 def partial_constants(c, M: int, N: int, rho) -> tuple:
@@ -210,6 +206,8 @@ def horn_necessity_witness(
     violating candidate of that order.  Returns the witness matrix or None
     if the budget is exhausted.
     """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     root = float(rho) ** 0.5
     xs = [root * s for s in (0.999, 0.9, 0.7, 0.5, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3)]
     qs = (0.999, 0.95, 0.9, 0.8, 0.6, 0.4, 0.2, 0.1, 0.05, 0.01)

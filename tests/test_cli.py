@@ -338,6 +338,7 @@ def test_float_overflow_exit_3(capsys, argv):
         ("moments", ["--max-m", "-1"], "max_m"),
         ("cauchy-binet", ["--max-n", "1", "--max-m", "20"], "0..9"),
         ("cauchy-binet", ["--max-m", "11"], "0..9"),
+        ("pencil", ["--max-n", "4", "--max-m", "2"], "max_m >= max_n"),
     ],
 )
 def test_verify_identity_bad_sizes_exit_3(capsys, which, sizes, named):
@@ -345,3 +346,32 @@ def test_verify_identity_bad_sizes_exit_3(capsys, which, sizes, named):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["power-nonpreservation", "--budget", "-1"], "budget"),
+        (["horn-witness", "--budget", "-5"], "budget"),
+        (["cross-dim", "--draws", "-3"], "draws"),
+    ],
+)
+def test_experiment_negative_size_exit_3(capsys, argv, named):
+    code, out, err = run(capsys, "experiment", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, results",
+    [
+        (["power-nonpreservation", "--budget", "0"], {"trials": 0, "witness_found": False}),
+        (["horn-witness", "--budget", "0"], {"budget": 0, "witness_found": False}),
+        (["cross-dim", "--draws", "0"], {"draws": 0, "min_ratio": None}),
+    ],
+)
+def test_experiment_zero_size_is_an_empty_run(capsys, argv, results):
+    code, rep = run_json(capsys, "experiment", *argv)
+    assert code == 0
+    assert results.items() <= rep["results"].items()

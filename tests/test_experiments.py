@@ -82,3 +82,13 @@ def test_cauchy_binet_exponent_count_bounded_by_pool():
             run_identity_suite(IdentitySuiteConfig("cauchy-binet", max_m=11, trials=1, seed=seed))
     out = run_identity_suite(IdentitySuiteConfig("cauchy-binet", max_n=1, max_m=10, trials=3))
     assert out == {"which": "cauchy-binet", "cases": 3, "failures": 0}
+
+
+@pytest.mark.parametrize("which", ["pencil", "moments"])
+def test_pencil_sweep_rejects_max_m_below_max_n(which):
+    # M runs from N, so max_m < max_n would silently drop every N > max_m
+    for max_n, max_m in ((4, 2), (0, 3)):
+        with pytest.raises(ValueError, match="max_m >= max_n"):
+            run_identity_suite(IdentitySuiteConfig(which, max_n=max_n, max_m=max_m, trials=1))
+    out = run_identity_suite(IdentitySuiteConfig(which, max_n=2, max_m=2, trials=1))
+    assert out == {"which": which, "cases": 3, "failures": 0}

@@ -1,4 +1,4 @@
-"""Partition shapes, hooks, staircase complements, generalized binomials."""
+"""Partition shapes, hooks, staircase complements."""
 
 import pytest
 from hypothesis import given
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from entrywise.partitions import (
     Partition,
     StrictTuple,
-    generalized_binomial,
     hook_dimension,
     hook_partition,
     staircase,
@@ -73,14 +72,3 @@ def test_staircase_complement_weight(exponents):
     n = len(e)
     assert lam.weight == sum(e) - n * (n - 1) // 2
     assert len(lam.parts) == n
-
-
-def test_generalized_binomial():
-    assert generalized_binomial(-1, 0) == 1
-    assert generalized_binomial(-1, 3) == -1
-    assert generalized_binomial(-1, 4) == 1
-    assert generalized_binomial(-2, 2) == 3
-    assert generalized_binomial(4, 2) == 6
-    assert generalized_binomial(3, 5) == 0
-    with pytest.raises(ValueError):
-        generalized_binomial(2, -1)

@@ -1,5 +1,6 @@
 """Threshold constants, admissibility, chains, and positivity search."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -51,6 +52,34 @@ def test_m_less_than_n_exact():
         c = tuple(Fraction(rng.randint(1, 20), rng.randint(1, 9)) for _ in range(N))
         rho = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         assert threshold_constant(c, M, N, rho) == 1 / c[M]
+
+
+def _generalized_binomial(n, k):
+    """binom(n, k) by falling factorial, valid for negative n."""
+    num = 1
+    for i in range(k):
+        num *= n - i
+    return num // math.factorial(k)
+
+
+def _threshold_constant_oracle(c, M, N, rho):
+    """The constant as one generalized-binomial sum over j < N, valid for every M >= 0."""
+    total = 0
+    for j in range(N):
+        b = _generalized_binomial(M, j) * _generalized_binomial(M - j - 1, N - j - 1)
+        if b:
+            total = total + b * b * rho ** (M - j) / c[j]
+    return total
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, float])
+@pytest.mark.parametrize("rho", [2, Fraction(3, 2), 0.75])
+def test_threshold_constant_matches_generalized_binomial_sum(kind, rho):
+    for N in range(1, 6):
+        c = tuple(kind(j + 2) for j in range(N))
+        for M in range(12):
+            got, want = threshold_constant(c, M, N, rho), _threshold_constant_oracle(c, M, N, rho)
+            assert (type(got), repr(got)) == (type(want), repr(want)), (N, M)
 
 
 def test_partial_chain_endpoints_and_monotonicity():
