@@ -85,24 +85,34 @@ def hadamard_power(A, n: int):
 def entrywise_poly(coeffs: Mapping[int, object], A):
     """Apply f(z) = sum_k coeffs[k] * z^k to every entry of A.
 
-    Floating input accumulates in complex and comes back real when A and
-    every coefficient are real.  Exact input sums the terms in map order,
-    starting from the first; an empty map gives the zero matrix.
+    One pass over the exponents in ascending order, for float and exact
+    input alike: a running Hadamard power P starts at all-ones and steps up
+    to A^(ok) by one entrywise product (by A^(o(k - previous)) across a gap),
+    and each term coeffs[k] * P joins the sum at once, so only P, one term
+    and the sum are held.  Floating input accumulates in complex and comes
+    back real when A and every coefficient are real.  Exact input sums from
+    the first term; an empty map gives the zero matrix.
     """
     if any(k < 0 for k in coeffs):
         raise ValueError("exponents must be non-negative")
     X = _matrix(A)
-    if X.dtype != object:
-        out = np.zeros(X.shape, dtype=complex)
-        for k, c in coeffs.items():
-            out += complex(c) * hadamard_power(X, k)
-        if not np.iscomplexobj(X) and all(
-            not isinstance(c, complex) for c in coeffs.values()
-        ):
-            return out.real
-        return out
-    terms = [c * hadamard_power(X, k) for k, c in coeffs.items()]
-    return _like(sum(terms[1:], terms[0]) if terms else np.zeros_like(X), A)
+    exact = X.dtype == object
+    out = None if exact else np.zeros(X.shape, dtype=complex)
+    P, at = np.ones_like(X), 0
+    for k in sorted(coeffs):
+        if k > at:
+            P = P * (X if k - at == 1 else X ** (k - at))
+            at = k
+        if exact:
+            term = coeffs[k] * P
+            out = term if out is None else out + term
+        else:
+            out += complex(coeffs[k]) * P
+    if exact:
+        return _like(np.zeros_like(X) if out is None else out, A)
+    if not np.iscomplexobj(X) and all(not isinstance(c, complex) for c in coeffs.values()):
+        return out.real
+    return out
 
 
 def h_matrix(coeffs_ascending, A):

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import spectral
+from .hadamard import h_matrix
 
 # Relative margin of the triangle-inequality shortcut in the trivial-group
 # orbit test: computed distances can break the inequality by a few ulps.
@@ -288,11 +289,7 @@ def simultaneous_kernel(A, tol: float = 1e-9) -> SubspaceBasis:
     peak = np.max(np.abs(H))
     if peak > 0:
         H = H / peak
-    total = np.ones((N, N), dtype=complex)
-    power = np.ones((N, N), dtype=complex)
-    for _ in range(1, N):
-        power = power * H
-        total = total + power
+    total = h_matrix((1.0,) * N, H)
     w, V = np.linalg.eigh(spectral.hermitian_part(total))
     basis = V[:, spectral.kernel_mask(w, tol)]
     return SubspaceBasis(basis.shape[1], basis)

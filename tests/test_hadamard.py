@@ -1,6 +1,7 @@
 """Hadamard power identities, all checked two ways over exact arithmetic."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,60 @@ def test_entrywise_poly_horner_oracle():
             z = A[i, j]
             want = 1.5 - 0.5 * z**2 + 2.0 * z**5
             assert abs(F[i, j] - want) < 1e-12
+
+
+def _exact_poly_entry(coeffs, z):
+    """sum_k c_k z^k in exact (re, im) Fractions of the float data."""
+    a, b = Fraction(z.real), Fraction(z.imag)
+    re, im = Fraction(0), Fraction(0)
+    pr, pi, at = Fraction(1), Fraction(0), 0
+    for k in sorted(coeffs):
+        for _ in range(k - at):
+            pr, pi = pr * a - pi * b, pr * b + pi * a
+        at = k
+        re, im = re + Fraction(coeffs[k]) * pr, im + Fraction(coeffs[k]) * pi
+    return re, im
+
+
+@pytest.mark.parametrize("kind", ["float", "complex"])
+def test_entrywise_poly_float_within_rounding_bound_of_exact(kind):
+    # every entry within 2 (k_max + 1) 2^-52 sum_k |c_k| |x|^k of the exact
+    # value of the polynomial at the float data, signed coefficients included
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(75):
+        N = int(rng.integers(1, 5))
+        A = rng.standard_normal((N, N)) * rng.choice([0.5, 1.0, 1.5])
+        if kind == "complex":
+            A = A + 1j * rng.standard_normal((N, N))
+        exps = rng.choice(16, size=int(rng.integers(1, 17)), replace=False)
+        coeffs = {int(k): float(rng.uniform(-2, 2)) for k in exps}
+        F = entrywise_poly(coeffs, A)
+        assert np.iscomplexobj(F) == (kind == "complex")
+        unit = 2 * (max(coeffs) + 1) * 2.0**-52
+        for (i, j), z in np.ndenumerate(A):
+            re, im = _exact_poly_entry(coeffs, complex(z))
+            got = complex(F[i, j])
+            err = abs(complex(float(Fraction(got.real) - re), float(Fraction(got.imag) - im)))
+            scale = sum(abs(c) * abs(z) ** k for k, c in coeffs.items())
+            worst = max(worst, err / (unit * scale))
+    assert worst <= 1.0, worst
+
+
+def test_h_matrix_traced_peak_stays_a_few_matrices():
+    # the running power, one term and the sum: no list of all N powers
+    N = 80
+    rng = np.random.default_rng(4)
+    A = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / 4
+    coeffs = (1.0,) * N
+    h_matrix(coeffs, A)
+    tracemalloc.start()
+    try:
+        h_matrix(coeffs, A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * A.nbytes, (peak, A.nbytes)
 
 
 def test_entrywise_poly_exact_sum_starts_from_first_term(monkeypatch):

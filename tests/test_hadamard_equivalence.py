@@ -7,6 +7,14 @@ matrices as lists of rows.  Every output must agree with them by repr, for
 exact (int, Fraction, GaussianRational) rows and for float and complex
 arrays: the same scalars, the same types and, on the float side, the same
 bits.
+
+On the float side "the same bits" means the bits of one fixed evaluation
+order.  `ref_hadamard_power` builds A**k from scratch, as `hadamard_power`
+does; `ref_entrywise_poly` walks the exponents in ascending order with a
+cumulative power (one product by A per unit step, by A**gap across a gap)
+and adds each term as it goes, which is the order `entrywise_poly` uses.
+How close that order comes to the exact value is checked separately, by the
+Fraction oracle in `tests/test_hadamard.py`.
 """
 
 import random
@@ -42,8 +50,11 @@ def ref_hadamard_power(A, n):
 def ref_entrywise_poly(coeffs, A):
     if isinstance(A, np.ndarray):
         out = np.zeros(A.shape, dtype=complex)
-        for k, c in coeffs.items():
-            out += complex(c) * (np.ones_like(out) if k == 0 else A**k)
+        power, at = np.ones_like(A), 0
+        for k in sorted(coeffs):  # ascending cumulative powers
+            if k > at:
+                power, at = power * (A if k - at == 1 else A ** (k - at)), k
+            out += complex(coeffs[k]) * power
         if not np.iscomplexobj(A) and all(
             not isinstance(c, complex) for c in coeffs.values()
         ):
