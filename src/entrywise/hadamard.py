@@ -19,7 +19,7 @@ import numpy as np
 
 from .backends import all_exact, det_exact
 from .partitions import StrictTuple, staircase_complement
-from .schur import hook_values, schur_eval, vandermonde_det
+from .schur import _jacobi_trudi, hook_values, vandermonde_det
 
 
 @dataclass(frozen=True)
@@ -201,11 +201,12 @@ def cauchy_binet_rhs(coeffs_by_exponent: Mapping[int, object], u, v):
         raise ValueError("u and v must be nonempty with equal length")
     if len(exponents) < n:
         return 0
+    subsets = list(combinations(exponents, n))
+    shapes = [staircase_complement(StrictTuple(tuple(sorted(t, reverse=True)))) for t in subsets]
+    su, sv = _jacobi_trudi(shapes, [u, v])
     total = 0
-    for subset in combinations(exponents, n):
-        lam = staircase_complement(StrictTuple(tuple(sorted(subset, reverse=True))))
-        prod_c = math.prod(coeffs_by_exponent[e] for e in subset)
-        total = total + schur_eval(lam, u) * schur_eval(lam, v) * prod_c
+    for subset, a, b in zip(subsets, su, sv):
+        total = total + a * b * math.prod(coeffs_by_exponent[e] for e in subset)
     return vandermonde_det(u) * vandermonde_det(v) * total
 
 

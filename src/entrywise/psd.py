@@ -95,18 +95,23 @@ def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
     is emitted.
     """
     u = list(u)
-    N = len(u)
+    return _rank_one_values(c, M, len(u), [u])[0]
+
+
+def _rank_one_values(c: Sequence, M: int, N: int, points) -> list:
+    """rayleigh_rank_one at each of the points, of length N, from one
+    hook_values call; warns once per point with near-coincident coordinates."""
     cs = [float(x) for x in coefficients(c, N)]
     if M < N:
-        return 1.0 / cs[M]
-    z = [complex(x) for x in u]
-    scale = max(1.0, max(abs(x) for x in z))
-    if any(abs(z[i] - z[j]) <= 1e-7 * scale for i in range(N) for j in range(i + 1, N)):
-        warnings.warn("near-coincident coordinates: formal closed-form value", stacklevel=2)
-    total = 0.0
-    for s, cj in zip(hook_values(M, [u])[0], cs):
-        total += abs(complex(s)) ** 2 / cj
-    return total
+        return [1.0 / cs[M] for _ in points]
+    for u in points:
+        z = [complex(x) for x in u]
+        scale = max(1.0, max(abs(x) for x in z))
+        if any(abs(z[i] - z[j]) <= 1e-7 * scale for i in range(N) for j in range(i + 1, N)):
+            warnings.warn("near-coincident coordinates: formal closed-form value", stacklevel=3)
+    # coefficients are positive, so every term is >= 0 and the int start adds nothing
+    rows = hook_values(M, points)
+    return [sum(abs(complex(s)) ** 2 / cj for s, cj in zip(row, cs)) for row in rows]
 
 
 def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> RayleighResult:
@@ -117,12 +122,12 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     complement is spanned by normalized block indicators, and the quotient
     restricted there is a generalized Hermitian eigenproblem.
     """
-    A = spectral.require_hermitian(A, tol)
+    A = spectral.require_psd(A, tol)
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
     N = A.shape[0]
     cs = coefficients(c, N)
-    pi = strata.stratify(A, strata.GroupTag.TRIVIAL, tol)
+    pi = strata._stratify(A, strata.GroupTag.TRIVIAL, tol)
     Q = np.zeros((N, len(pi.blocks)), dtype=complex)
     for col, block in enumerate(pi.blocks):
         Q[list(block), col] = 1.0 / np.sqrt(len(block))
@@ -161,7 +166,7 @@ def discontinuity_probe(
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
         raise ValueError("epsilons must be strictly decreasing")
     path = near_corner_path(N, float(rho) ** 0.5, eps).tolist()
-    rows = [(e, rayleigh_rank_one(c, M, u)) for e, u in zip(eps, path)]
+    rows = list(zip(eps, _rank_one_values(c, M, N, path)))
     corner = float(rho) * np.ones((N, N))
     on_point = rayleigh_constant(c, M, corner).value
     return DiscontinuityProbe(tuple(rows), on_point, rows[-1][1])

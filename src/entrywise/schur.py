@@ -4,17 +4,19 @@ Exact hook values s_(a,1^b) come from the e/h sum
 s_(a,1^b) = sum_i (-1)^i e_{b-i} h_{a+i} over Gaussian integers
 (:func:`hook_values`).  The Jacobi-Trudi determinant in complete homogeneous
 polynomials, well-defined at repeated coordinates, serves floating points
-and every other shape (:func:`schur_eval`).  The bialternant ratio and
-explicit tableau enumeration exist as independent cross-checks.
+(one stacked determinant per call) and every other shape (:func:`_jacobi_trudi`).
+The bialternant ratio and explicit tableau enumeration exist as independent
+cross-checks.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
-from .backends import _gaussian_integer_rows, _rational, all_exact, det_exact
+from .backends import _eliminate, _gaussian_integer_rows, _rational, all_exact
 from .partitions import hook_partition
 
 
@@ -58,27 +60,85 @@ def schur_eval(lam, x):
     value, or floats/complex and returns a float/complex value.  The partition
     must carry explicit trailing zeros so that len(lam) == len(x).
     """
-    parts = _parts(lam)
-    xs = list(x)
-    n = len(xs)
-    if len(parts) != n:
-        raise ValueError(f"partition length {len(parts)} != point length {n}")
-    if n == 0:
-        return 1
-    if parts[0] == 0:
-        return 1
-    kmax = parts[0] + n - 1
-    h = complete_homogeneous(xs, kmax)
-    rows = [
-        [h[parts[i] - i + j] if parts[i] - i + j >= 0 else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    if all_exact(xs):
-        return det_exact(rows)
-    arr = np.asarray(rows, dtype=complex)
-    value = np.linalg.det(arr)
-    has_complex = any(isinstance(v, complex) or np.iscomplexobj(v) for v in xs)
-    return value if has_complex else value.real
+    return _jacobi_trudi([lam], [x])[0][0]
+
+
+def _jacobi_trudi(shapes, points) -> list:
+    """Rows [s_lam(x) for lam in shapes], one per point x, by Jacobi-Trudi.
+
+    Each shape needs len(x) parts; one with no positive part gives 1.  Float
+    points share one stacked determinant gathered from their h_0..h_k table
+    (complex values only at a point with a complex coordinate).  An exact x
+    is scaled to Gaussian integers z = D x and s_lam(x) is the fraction-free
+    determinant at z over D^|lam|; the scalings keep det_exact's zero pivots
+    and so its types.
+    """
+    shapes = tuple(_parts(lam) for lam in shapes)
+    points = [list(x) for x in points]
+    if not points:
+        return []
+    for x in points:
+        for lam in shapes:
+            if len(lam) != len(x):
+                raise ValueError(f"partition length {len(lam)} != point length {len(x)}")
+    rows = [[1] * len(shapes) for _ in points]
+    live, kmax, index, idx = _layout(shapes)
+    if not live:
+        return rows
+    floats = []
+    for p, x in enumerate(points):
+        if not all_exact(x):
+            floats.append(p)
+            continue
+        (zr,), (zi,), D, gaussian = _gaussian_integer_rows([x])
+        hr, hi = (h + [0] for h in _h_pairs(zr, zi, kmax))
+        for s, ks in zip(live, index):
+            re = [[hr[k] for k in row] for row in ks]
+            im = [[hi[k] for k in row] for row in ks]
+            sign = _eliminate(re, im)
+            rows[p][s] = Fraction(0) if not sign else _rational(
+                sign * re[-1][-1], sign * im[-1][-1], D ** sum(shapes[s]), 0, gaussian
+            )
+    if floats:
+        table = np.array([complete_homogeneous(points[p], kmax) + [0] for p in floats], complex)
+        for p, values in zip(floats, np.linalg.det(table[:, idx])):
+            if not any(_is_complex(v) for v in points[p]):
+                values = values.real
+            for s, value in zip(live, values):
+                rows[p][s] = value
+    return rows
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shapes: tuple):
+    """(live, kmax, index, idx): the shapes with a positive part, the largest h
+    index they read, and their n x n indices of h_{lam_i - i + j} as lists and
+    as one array; -1, a zero after h_kmax, stands for a negative index."""
+    live = tuple(s for s, lam in enumerate(shapes) if lam and lam[0])
+    if not live:
+        return live, 0, [], None
+    n = len(shapes[live[0]])
+    kmax = max(shapes[s][0] for s in live) + n - 1
+    index = [[[max(shapes[s][i] - i + j, -1) for j in range(n)] for i in range(n)] for s in live]
+    return live, kmax, index, np.array(index)
+
+
+def _is_complex(v) -> bool:
+    # ints and floats (numpy float64 too) skip the slower numpy test
+    return isinstance(v, complex) or (not isinstance(v, (int, float)) and np.iscomplexobj(v))
+
+
+def _h_pairs(zr, zi, kmax: int):
+    """(real parts, imaginary parts) of h_0..h_kmax at the Gaussian integers
+    z = zr + i zi, by the recurrence of :func:`complete_homogeneous`."""
+    hr, hi = [1] + [0] * kmax, [0] * (kmax + 1)
+    for a, b in zip(zr, zi):
+        for k in range(1, kmax + 1):
+            hr[k], hi[k] = (
+                hr[k] + a * hr[k - 1] - b * hi[k - 1],
+                hi[k] + a * hi[k - 1] + b * hr[k - 1],
+            )
+    return hr, hi
 
 
 def hook_values(M: int, points) -> list:
@@ -86,18 +146,16 @@ def hook_values(M: int, points) -> list:
 
     N is the common length of the points; requires M >= N.  Exact points take
     the hook expansion s_(a,1^b) = sum_i (-1)^i e_{b-i} h_{a+i} (Macdonald,
-    Symmetric Functions, ch. I) over Gaussian integers; floating points take
-    one Jacobi-Trudi :func:`schur_eval` per hook.
+    Symmetric Functions, ch. I) over Gaussian integers; floating points share
+    one stacked Jacobi-Trudi evaluation (:func:`_jacobi_trudi`).
     """
     points = list(points)
     if not points:
         return []
     N = len(points[0])
     hooks = [hook_partition(M, N, j) for j in range(N)]
-    return [
-        _exact_hooks(M, N, x) if all_exact(x) else [schur_eval(mu, x) for mu in hooks]
-        for x in points
-    ]
+    float_rows = iter(_jacobi_trudi(hooks, [x for x in points if not all_exact(x)]))
+    return [_exact_hooks(M, N, x) if all_exact(x) else next(float_rows) for x in points]
 
 
 def _exact_hooks(M: int, N: int, x) -> list:
@@ -112,15 +170,10 @@ def _exact_hooks(M: int, N: int, x) -> list:
     if len(x) != N:
         raise ValueError(f"partition length {N} != point length {len(x)}")
     (zr,), (zi,), D, gaussian = _gaussian_integer_rows([x])
-    hr, hi = [1] + [0] * M, [0] * (M + 1)
+    hr, hi = _h_pairs(zr, zi, M)
     er, ei = [1] + [0] * (N - 1), [0] * N
     for a, b in zip(zr, zi):
-        # one more variable a + bi: h_k += z h_{k-1} upwards, e_k += z e_{k-1} downwards
-        for k in range(1, M + 1):
-            hr[k], hi[k] = (
-                hr[k] + a * hr[k - 1] - b * hi[k - 1],
-                hi[k] + a * hi[k - 1] + b * hr[k - 1],
-            )
+        # one more variable a + bi: e_k += z e_{k-1}, downwards
         for k in range(N - 1, 0, -1):
             er[k], ei[k] = (
                 er[k] + a * er[k - 1] - b * ei[k - 1],

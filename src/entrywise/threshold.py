@@ -177,9 +177,10 @@ def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
     if N == 1:
         # single coordinate: the closed cube corner itself is admissible
         deltas.append(0.0)
+    cf = [float(cj) for cj in cs]
     best = -np.inf
     for row in hook_values(M, near_corner_path(N, float(rho) ** 0.5, deltas).tolist()):
-        best = max(best, sum(float(s) ** 2 / float(cj) for s, cj in zip(row, cs)))
+        best = max(best, sum(float(s) ** 2 / cj for s, cj in zip(row, cf)))
     return float(best)
 
 

@@ -13,7 +13,7 @@ from entrywise.psd import (
     rayleigh_rank_one,
     rayleigh_variational,
 )
-from entrywise.samplers import psd_disc_samples, random_separated_complex
+from entrywise.samplers import near_corner_path, psd_disc_samples, random_separated_complex
 from entrywise.strata import GroupTag, IndexPartition, generate_in_stratum, stratify
 from entrywise.threshold import CoefficientTuple, threshold_constant
 
@@ -78,6 +78,36 @@ def test_rayleigh_rank_one_warns_once():
 def test_rayleigh_variational_rejects_nonpositive_coefficients(A):
     with pytest.raises(ValueError, match="coefficients must be positive"):
         rayleigh_variational((1, -1, 1), 3, A)
+
+
+@pytest.mark.parametrize(
+    "A, message",
+    [
+        (np.ones((2, 3)), "square matrix required"),
+        (np.diag([1.0, np.nan, 1.0]), "matrix has a non-finite entry"),
+        (np.diag([1.0, np.inf, 1.0]), "matrix has a non-finite entry"),
+        (np.triu(np.ones((3, 3))), "matrix is not Hermitian within tolerance"),
+        (np.diag([1.0, 1.0, -1.0]), "matrix is not positive semidefinite: eigenvalue -1"),
+        (np.zeros((3, 3)), "zero matrix has no Rayleigh constant"),
+    ],
+)
+def test_rayleigh_variational_input_errors(A, message):
+    with pytest.raises(ValueError) as err:
+        rayleigh_variational((1, 1, 1), 3, A)
+    assert str(err.value) == message
+
+
+def test_rayleigh_variational_validates_once(monkeypatch):
+    from entrywise import spectral
+
+    calls = []
+    require_hermitian = spectral.require_hermitian
+    monkeypatch.setattr(
+        spectral, "require_hermitian", lambda A, tol: calls.append(tol) or require_hermitian(A, tol)
+    )
+    A = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+    rayleigh_variational((1, 1, 1), 3, A)
+    assert calls == [1e-9]
 
 
 def test_rayleigh_rank_one_m_less_than_n():
@@ -174,6 +204,19 @@ def test_discontinuity_probe_values():
     assert abs(probe.limit_estimate - 5.0) < 2e-2
     gap = abs(probe.limit_estimate - probe.on_point_value) / probe.limit_estimate
     assert gap > 0.1
+
+
+def test_discontinuity_probe_rows_are_rank_one_values():
+    # one hook_values call for the whole path gives each point's own value,
+    # and the near-coincidence warning still comes once per such point
+    c, M, N, eps = (1.0, 2.0, 0.5), 5, 3, (0.3, 0.01, 1e-9, 1e-10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        probe = discontinuity_probe(c, M, N, 0.8, eps)
+        assert len(caught) == 2
+        path = near_corner_path(N, 0.8**0.5, eps).tolist()
+        rows = tuple((e, rayleigh_rank_one(c, M, u)) for e, u in zip(eps, path))
+    assert repr(probe.rows) == repr(rows)
 
 
 def test_discontinuity_probe_validates_epsilons():
