@@ -3,8 +3,9 @@
 Exit status: 0 on a completed run (witness-found outcomes included), 2 on
 usage errors (argparse), 3 on precondition violations (bad or unreadable
 matrix file, non-PSD input, inconsistent dimensions, a number too large for
-a float).  Reports go to stdout and are byte-for-byte reproducible for a
-fixed seed; runtime and diagnostics go to stderr.
+a float, a NaN, infinite or negative --tol).  Reports go to stdout and are
+byte-for-byte reproducible for a fixed seed; runtime and diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -268,6 +269,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        if not 0 <= args.tol < float("inf"):
+            raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
         report = args.handler(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Reading and writing matrices, vectors, and scalars at the CLI boundary.
+"""Parsing matrices, vectors, and scalars at the CLI boundary.
 
 Matrix files are JSON: {"n": N, "entries": [[{"re": .., "im": ..}, ..], ..]}
 with an optional "rho" radius field.  Under the exact backend every numeric
@@ -133,17 +133,3 @@ def load_matrix(text: str, backend: Backend = Backend.FLOAT):
 def load_matrix_file(path: str, backend: Backend = Backend.FLOAT):
     with open(path, "r", encoding="utf-8") as fh:
         return load_matrix(fh.read(), backend)
-
-
-def _cell(value) -> dict:
-    z = complex(value)
-    return {"re": z.real, "im": z.imag}
-
-
-def dump_matrix(A, rho=None) -> str:
-    rows = [[_cell(v) for v in row] for row in np.asarray(A, dtype=complex)]
-    obj = {"n": len(rows), "entries": rows}
-    if rho is not None:
-        obj["rho"] = float(rho)
-    return json.dumps(obj, indent=2)
-

@@ -59,11 +59,6 @@ class StrictTuple:
         return len(self.entries)
 
 
-def staircase(N: int) -> StrictTuple:
-    """The staircase (N-1, N-2, ..., 1, 0)."""
-    return StrictTuple(tuple(range(N - 1, -1, -1)))
-
-
 def hook_partition(M: int, N: int, j: int) -> Partition:
     """Hook shape (M-N+1, 1^(N-j-1), 0^j) of length N.
 

@@ -95,23 +95,31 @@ def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
     is emitted.
     """
     u = list(u)
-    return _rank_one_values(c, M, len(u), [u])[0]
+    cs = coefficients(c, len(u))  # a bad c raises before any warning
+    _warn_near_coincident(M, len(u), [u])
+    return _rank_one_values(cs, M, [u])[0]
 
 
-def _rank_one_values(c: Sequence, M: int, N: int, points) -> list:
-    """rayleigh_rank_one at each of the points, of length N, from one
-    hook_values call; warns once per point with near-coincident coordinates."""
-    cs = [float(x) for x in coefficients(c, N)]
+def _warn_near_coincident(M: int, N: int, points) -> None:
+    """Warn once per point, of length N, with near-coincident coordinates if M >= N."""
     if M < N:
-        return [1.0 / cs[M] for _ in points]
+        return
     for u in points:
         z = [complex(x) for x in u]
         scale = max(1.0, max(abs(x) for x in z))
         if any(abs(z[i] - z[j]) <= 1e-7 * scale for i in range(N) for j in range(i + 1, N)):
             warnings.warn("near-coincident coordinates: formal closed-form value", stacklevel=3)
+
+
+def _rank_one_values(cs: tuple, M: int, points) -> list:
+    """rayleigh_rank_one at each of the points, for checked coefficients cs
+    (one per coordinate), from one hook_values call and without warnings."""
+    cf = [float(x) for x in cs]
+    if M < len(cf):
+        return [1.0 / cf[M] for _ in points]
     # coefficients are positive, so every term is >= 0 and the int start adds nothing
     rows = hook_values(M, points)
-    return [sum(abs(complex(s)) ** 2 / cj for s, cj in zip(row, cs)) for row in rows]
+    return [sum(abs(complex(s)) ** 2 / cj for s, cj in zip(row, cf)) for row in rows]
 
 
 def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> RayleighResult:
@@ -166,7 +174,9 @@ def discontinuity_probe(
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
         raise ValueError("epsilons must be strictly decreasing")
     path = near_corner_path(N, float(rho) ** 0.5, eps).tolist()
-    rows = list(zip(eps, _rank_one_values(c, M, N, path)))
+    cs = coefficients(c, N)  # a bad c raises before any warning
+    _warn_near_coincident(M, N, path)
+    rows = list(zip(eps, _rank_one_values(cs, M, path)))
     corner = float(rho) * np.ones((N, N))
     on_point = rayleigh_constant(c, M, corner).value
     return DiscontinuityProbe(tuple(rows), on_point, rows[-1][1])

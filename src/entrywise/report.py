@@ -25,13 +25,9 @@ def partition_to_text(pi: IndexPartition) -> str:
 
 
 def jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, GaussianRational):
+    if isinstance(obj, (Fraction, GaussianRational)):
         return str(obj)
     if isinstance(obj, complex):
         if obj.imag == 0.0:

@@ -5,8 +5,7 @@ s_(a,1^b) = sum_i (-1)^i e_{b-i} h_{a+i} over Gaussian integers
 (:func:`hook_values`).  The Jacobi-Trudi determinant in complete homogeneous
 polynomials, well-defined at repeated coordinates, serves floating points
 (one stacked determinant per call) and every other shape (:func:`_jacobi_trudi`).
-The bialternant ratio and explicit tableau enumeration exist as independent
-cross-checks.
+Explicit tableau enumeration exists as an independent cross-check.
 """
 
 from __future__ import annotations

@@ -21,12 +21,18 @@ def hermitian_part(X: np.ndarray) -> np.ndarray:
     return (X + X.conj().swapaxes(-1, -2)) / 2
 
 
-def require_hermitian(A, tol: float) -> np.ndarray:
-    """Hermitian part of the square matrix A, which must be finite and
-    Hermitian within tol * max(1, max|a_ij|); raises ValueError otherwise."""
+def require_square(A) -> np.ndarray:
+    """A as a complex array, which must be a square matrix; raises ValueError otherwise."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("square matrix required")
+    return A
+
+
+def require_hermitian(A, tol: float) -> np.ndarray:
+    """Hermitian part of the square matrix A, which must be finite and
+    Hermitian within tol * max(1, max|a_ij|); raises ValueError otherwise."""
+    A = require_square(A)
     amax = float(np.abs(A).max()) if A.size else 0.0
     if not math.isfinite(amax):  # a NaN would pass every tolerance test below
         raise ValueError("matrix has a non-finite entry")

@@ -81,11 +81,13 @@ def refinement_leq(p1: IndexPartition, p2: IndexPartition) -> bool:
     """True iff p1 refines p2 (every block of p1 inside some block of p2)."""
     if p1.size != p2.size:
         raise ValueError("partitions must share a ground set")
-    lookup = {}
-    for b in p2.blocks:
-        for i in b:
-            lookup[i] = b
-    return all(all(lookup[i] is lookup[b[0]] for i in b) for b in p1.blocks)
+    label = _labels(p2)
+    return all(len(set(label[list(b)])) == 1 for b in p1.blocks)
+
+
+def _labels(pi: IndexPartition) -> np.ndarray:
+    """Block number of each index of pi, as an int array."""
+    return np.array(sorted((i, a) for a, b in enumerate(pi.blocks) for i in b))[:, 1]
 
 
 class _UnionFind:
@@ -310,10 +312,7 @@ def kernel_for_partition(pi: IndexPartition) -> SubspaceBasis:
             v[b[:k]] = 1.0
             v[b[k]] = -k
             cols.append(v / np.sqrt(k * (k + 1)))
-    if cols:
-        basis = np.column_stack(cols)
-    else:
-        basis = np.zeros((N, 0), dtype=complex)
+    basis = np.column_stack(cols) if cols else np.zeros((N, 0), dtype=complex)
     return SubspaceBasis(basis.shape[1], basis)
 
 
@@ -340,18 +339,14 @@ def _block_vectors(pi: IndexPartition, group: GroupTag, rng: np.random.Generator
     k = len(pi.blocks)
     U = np.zeros((N, k), dtype=complex)
     for a, block in enumerate(pi.blocks):
-        size = len(block)
+        n = len(block)  # moduli r are drawn before phases
         if group is GroupTag.TRIVIAL:
-            entry = rng.uniform(0.6, 1.4) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            U[list(block), a] = entry
+            r, phases = rng.uniform(0.6, 1.4), rng.uniform(0, 2 * np.pi)
         elif group is GroupTag.UNIT_CIRCLE:
-            r = rng.uniform(0.6, 1.4)
-            phases = rng.uniform(0, 2 * np.pi, size=size)
-            U[list(block), a] = r * np.exp(1j * phases)
+            r, phases = rng.uniform(0.6, 1.4), rng.uniform(0, 2 * np.pi, size=n)
         else:
-            r = rng.uniform(0.5, 1.5, size=size)
-            phases = rng.uniform(0, 2 * np.pi, size=size)
-            U[list(block), a] = r * np.exp(1j * phases)
+            r, phases = rng.uniform(0.5, 1.5, size=n), rng.uniform(0, 2 * np.pi, size=n)
+        U[list(block), a] = r * np.exp(1j * phases)
     return U
 
 
@@ -406,13 +401,9 @@ def closure_probe(
     N = pi_target.size
     k_s = len(pi_source.blocks)
     k_t = len(pi_target.blocks)
-    target_of = {}
-    for ti, tb in enumerate(pi_target.blocks):
-        for i in tb:
-            target_of[i] = ti
+    src, tgt = _labels(pi_source), _labels(pi_target)
     E = np.zeros((k_s, k_t))
-    for a, sb in enumerate(pi_source.blocks):
-        E[a, target_of[sb[0]]] = 1.0
+    E[src, tgt] = 1.0  # row a marks the target block holding source block a
 
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
@@ -425,32 +416,21 @@ def closure_probe(
         entry_phases = rng.uniform(0.4, 1.0, size=N) * rng.choice([-1.0, 1.0], size=N)
         entry_bumps = 0.4 * (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / np.sqrt(2)
 
-        def path_point(d: float) -> np.ndarray:
-            U_s = np.zeros((N, k_s), dtype=complex)
-            for a, sb in enumerate(pi_source.blocks):
-                idx = list(sb)
-                vals = full[idx].astype(complex)
-                if group is GroupTag.TRIVIAL:
-                    vals = vals * (1.0 + d * scalar_bumps[a])
-                elif group is GroupTag.UNIT_CIRCLE:
-                    vals = vals * np.exp(1j * d * entry_phases[idx]) * (1.0 + d * scalar_bumps[a])
-                else:
-                    vals = vals * (1.0 + d * entry_bumps[idx])
-                U_s[idx, a] = vals
-            C_s = E @ C_t @ E.T + d * R
-            return spectral.hermitian_part(U_s @ C_s @ U_s.conj().T)
-
-        ds = [0.5 * 2.0 ** (-j) for j in range(steps)]
         rows = []
-        ok = True
-        for d in ds:
-            P = path_point(d)
-            label = stratify(P, group)
-            rows.append((float(np.linalg.norm(P - A_t)), label))
-            ok = ok and label == pi_source
-        limit_label = stratify(A_t, group)
-        rows.append((0.0, limit_label))
-        if ok and limit_label == pi_target:
+        for d in (0.5 * 2.0 ** (-j) for j in range(steps)):
+            # index i sits in column src[i], perturbed off the target scaffold
+            if group is GroupTag.TRIVIAL:
+                vals = full * (1.0 + d * scalar_bumps[src])
+            elif group is GroupTag.UNIT_CIRCLE:
+                vals = full * np.exp(1j * d * entry_phases) * (1.0 + d * scalar_bumps[src])
+            else:
+                vals = full * (1.0 + d * entry_bumps)
+            U_s = np.zeros((N, k_s), dtype=complex)
+            U_s[np.arange(N), src] = vals
+            P = spectral.hermitian_part(U_s @ (E @ C_t @ E.T + d * R) @ U_s.conj().T)
+            rows.append((float(np.linalg.norm(P - A_t)), stratify(P, group)))
+        rows.append((0.0, stratify(A_t, group)))
+        if all(label == pi_source for _, label in rows[:-1]) and rows[-1][1] == pi_target:
             return rows
     # no fully clean draw found; report the last attempt honestly
     return rows

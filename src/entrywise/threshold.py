@@ -8,8 +8,8 @@ is the finite constant computed by :func:`threshold_constant`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -17,9 +17,8 @@ from . import spectral
 from .backends import is_exact
 from .hadamard import coefficients, entrywise_poly, h_matrix, hadamard_power
 from .partitions import hook_dimension
-from .psd import psd_check
+from .psd import _rank_one_values, psd_check
 from .samplers import near_corner_path, psd_disc_batches
-from .schur import hook_values
 
 BOUNDARY_WIDTH = 1e-12
 
@@ -165,23 +164,22 @@ def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
     The grid walks u(delta)_k = sqrt(rho)(1 - delta k/N) along a nested
     geometric ladder of delta values (so refining the grid only enlarges the
     candidate set), with pairwise-distinct coordinates approaching the corner.
-    Converges to threshold_constant from below as grid grows.
+    Each grid point takes the rank-one Rayleigh value of :mod:`psd` (exactly
+    1/c_M at every point when M < N).  Converges to threshold_constant from
+    below as grid grows.
     """
     cs = coefficients(c, N)
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if M < N:
-        # every distinct-coordinate rank-one point attains exactly 1/c_M
-        return 1.0 / float(cs[M])
+    if not (rho > 0):
+        raise ValueError("rho must be positive")
     deltas = [2.0 ** (-k) for k in range(1, min(grid, 48) + 1)]
     if N == 1:
         # single coordinate: the closed cube corner itself is admissible
         deltas.append(0.0)
-    cf = [float(cj) for cj in cs]
-    best = -np.inf
-    for row in hook_values(M, near_corner_path(N, float(rho) ** 0.5, deltas).tolist()):
-        best = max(best, sum(float(s) ** 2 / cj for s, cj in zip(row, cf)))
-    return float(best)
+    path = near_corner_path(N, float(rho) ** 0.5, deltas).tolist()
+    # a NaN value (overflowed hooks) never beats the -inf start
+    return max(-np.inf, *_rank_one_values(cs, M, path))
 
 
 HORN_MAX_CHUNK = 4096  # candidates evaluated at once by horn_necessity_witness
@@ -258,7 +256,7 @@ def _validate_disc_psd(A: np.ndarray, rho, tol: float) -> None:
 
 def lmi_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
     """Loewner inequality A^(oM) <= C * sum_j c_j A^(oj) at the sharp constant."""
-    A = np.asarray(A, dtype=complex)
+    A = spectral.require_square(A)
     N = A.shape[0]
     cs = coefficients(c, N)
     _validate_disc_psd(A, rho, tol)
@@ -274,7 +272,7 @@ def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> boo
     particular A != rho * all-ones); under that hypothesis the boundary
     polynomial sends A to a positive definite matrix, not merely PSD.
     """
-    A = np.asarray(A, dtype=complex)
+    A = spectral.require_square(A)
     N = A.shape[0]
     if N < 2:
         raise ValueError("need N >= 2")

@@ -1,6 +1,7 @@
 """CLI behaviour: report content, reproducibility, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +376,29 @@ def test_experiment_zero_size_is_an_empty_run(capsys, argv, results):
     code, rep = run_json(capsys, "experiment", *argv)
     assert code == 0
     assert results.items() <= rep["results"].items()
+
+
+GOLDEN_PSD3 = str(Path(__file__).parent / "golden" / "psd3.json")
+TOL_COMMANDS = {
+    "threshold": ["threshold", "--c", "1,1", "--M", "2", "--N", "2", "--rho", "1"],
+    "verify-identity": ["verify-identity", "--which", "pencil", "--max-n", "1", "--trials", "1"],
+    "rayleigh": ["rayleigh", "--rank-one", "0.9,0.5", "--c", "1,1", "--M", "3"],
+    "stratify": ["stratify", "--matrix", GOLDEN_PSD3],
+    "experiment": ["experiment", "horn-witness", "--budget", "500"],
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_unusable_tol_exit_3(capsys, command, tol):
+    # a NaN tol fails every comparison and an infinite one passes them all
+    code, out, err = run(capsys, *TOL_COMMANDS[command], f"--tol={tol}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: --tol ")
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_zero_tol_is_valid(capsys, command):
+    code, out, _ = run(capsys, *TOL_COMMANDS[command], "--tol=0")
+    assert code == 0 and out

@@ -9,7 +9,6 @@ from entrywise.partitions import (
     StrictTuple,
     hook_dimension,
     hook_partition,
-    staircase,
     staircase_complement,
 )
 
@@ -54,15 +53,10 @@ def test_hook_dimension_frozen_values():
     assert hook_dimension(2, 2, 1) == 2
 
 
-def test_staircase():
-    assert staircase(4).entries == (3, 2, 1, 0)
-    assert staircase(1).entries == (0,)
-
-
 def test_staircase_complement_examples():
     assert staircase_complement((3, 1, 0)).parts == (1, 0, 0)
     assert staircase_complement(StrictTuple((5, 2, 1))).parts == (3, 1, 1)
-    assert staircase_complement(staircase(5)).parts == (0,) * 5
+    assert staircase_complement(StrictTuple((4, 3, 2, 1, 0))).parts == (0,) * 5
 
 
 @given(st.sets(st.integers(min_value=0, max_value=30), min_size=1, max_size=6))

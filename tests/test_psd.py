@@ -116,6 +116,26 @@ def test_rayleigh_rank_one_m_less_than_n():
     assert rayleigh_rank_one((1.0, 4.0, 1.0), 1, u) == 0.25
 
 
+def test_rank_one_m_less_than_n_never_warns():
+    # the value 1/c_M is exact at every point, coincident coordinates included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rayleigh_rank_one((1.0, 4.0, 1.0), 1, (0.5, 0.5, 0.5)) == 0.25
+        probe = discontinuity_probe((1.0, 4.0, 1.0), 2, 3, 1.0, (1e-9, 1e-12))
+    assert [v for _, v in probe.rows] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rayleigh_rank_one((1.0, -1.0), 3, (0.7, 0.7)),
+    lambda: discontinuity_probe((1.0, -1.0), 3, 2, 1.0, (1e-9,)),
+])
+def test_rank_one_bad_coefficients_raise_before_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^coefficients must be positive$"):
+            call()
+
+
 def test_rayleigh_three_way_agreement():
     rng = np.random.default_rng(1)
     for _ in range(25):

@@ -2,11 +2,15 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from entrywise.hadamard import coefficients
+from entrywise.samplers import near_corner_path
+from entrywise.schur import hook_values
 from entrywise.threshold import (
     CoefficientTuple,
     admissible,
@@ -157,6 +161,56 @@ def test_empirical_sharpness_m_less_than_n():
     assert empirical_sharpness((1.0, 2.0, 4.0), 1, 3, 1.0, grid=10) == 0.5
 
 
+def ref_empirical_sharpness(c, M, N, rho, grid):
+    """The sharpness loop before it shared the rank-one sum of psd: its own
+    hook_values loop, float coefficients and M < N shortcut."""
+    cs = coefficients(c, N)
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    if M < N:
+        return 1.0 / float(cs[M])
+    deltas = [2.0 ** (-k) for k in range(1, min(grid, 48) + 1)]
+    if N == 1:
+        deltas.append(0.0)
+    cf = [float(cj) for cj in cs]
+    best = -np.inf
+    for row in hook_values(M, near_corner_path(N, float(rho) ** 0.5, deltas).tolist()):
+        best = max(best, sum(float(s) ** 2 / cj for s, cj in zip(row, cf)))
+    return float(best)
+
+
+@pytest.mark.parametrize(
+    "c, rho",
+    [
+        ((ONE, Fraction(1, 2), Fraction(7, 3), Fraction(5, 4)), Fraction(3, 7)),
+        ((1, 2, 3, 5), 2),
+        ((1.0, 0.25, 2.5, 3.0), 0.7),
+    ],
+    ids=["fraction", "int", "float"],
+)
+def test_empirical_sharpness_matches_reference(c, rho):
+    # the ladder runs into the corner on purpose (grid 200 passes the 48 cap),
+    # so the shared rank-one sum must stay silent there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in range(1, 5):
+            for M in range(N + 5):
+                for grid in (2, 40, 200):
+                    got = empirical_sharpness(c[:N], M, N, rho, grid)
+                    assert repr(got) == repr(ref_empirical_sharpness(c[:N], M, N, rho, grid))
+
+
+def test_empirical_sharpness_error_order():
+    # coefficients are checked before the grid, the grid before rho
+    with pytest.raises(ValueError, match="^coefficients must be positive$"):
+        empirical_sharpness((1, -1), 3, 2, -1, 1)
+    with pytest.raises(ValueError, match="^grid must be at least 2$"):
+        empirical_sharpness((1, 1), 3, 2, -1, 1)
+    for rho in (0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^rho must be positive$"):
+            empirical_sharpness((1, 1), 3, 2, rho, 10)
+
+
 def test_preserves_positivity_boundary_and_violation():
     f_ok = {0: 1.0, 1: 1.0, 2: -0.2}
     verdict = preserves_positivity_check(f_ok, 2, 1.0, samples=2000, seed=3)
@@ -230,6 +284,14 @@ def test_pd_refinement_needs_distinct_row():
     A = np.ones((2, 2))
     with pytest.raises(ValueError):
         pd_refinement_check(c, 2, 1.0, A)
+
+
+@pytest.mark.parametrize("check", [lmi_check, pd_refinement_check])
+@pytest.mark.parametrize("A", [5.0, np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))])
+def test_loewner_checks_need_a_square_matrix(check, A):
+    # the shape is checked before its size is read, as psd_check checks it
+    with pytest.raises(ValueError, match="^square matrix required$"):
+        check((1, 1), 2, 1.0, A)
 
 
 @pytest.mark.parametrize("c", [(1, -1), (1, 0)])
