@@ -114,6 +114,8 @@ def _warn_near_coincident(M: int, N: int, points) -> None:
 def _rank_one_values(cs: tuple, M: int, points) -> list:
     """rayleigh_rank_one at each of the points, for checked coefficients cs
     (one per coordinate), from one hook_values call and without warnings."""
+    if M < 0:
+        raise ValueError("exponent must be non-negative")
     cf = [float(x) for x in cs]
     if M < len(cf):
         return [1.0 / cf[M] for _ in points]

@@ -76,6 +76,18 @@ def _outer_rows(U: np.ndarray) -> np.ndarray:
 SAMPLE_BATCH = 1024  # largest block of random draws built at once
 
 
+def _disc_radius(N: int, rho) -> float:
+    """float(rho) after checking that N >= 1 and rho is finite and positive."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    rho = float(rho)
+    if not (rho > 0):
+        raise ValueError("rho must be positive")
+    if rho == np.inf:
+        raise ValueError("rho must be finite")
+    return rho
+
+
 def psd_disc_batches(
     N: int,
     rho: float,
@@ -85,17 +97,19 @@ def psd_disc_batches(
     """The stream of :func:`psd_disc_samples` as stacked blocks.
 
     Each item is a list of ``(positions, stack)`` pairs covering consecutive
-    stream positions: ``stack`` is a ``(k, N, N)`` array of one sample kind
-    (so one dtype) and ``positions[i]`` is the index of ``stack[i]`` in the
-    stream.  The near-corner samples form the first block; the random draws
-    follow in blocks of at most ``SAMPLE_BATCH``, split by kind (complex
-    Wishart rescaled into the disc, real rank-one from the open cube
-    (0, sqrt(rho))^N, complex correlation matrix times rho), the kind of
-    position p being p mod 3.  The generator makes the same ``rng`` calls in
-    the same order as drawing the samples one at a time; each kind's
-    matrices are then built in one vectorised step.
+    stream positions: ``stack`` is a ``(k, N, N)`` array of one dtype and
+    ``positions[i]`` is the index of ``stack[i]`` in the stream.  The
+    near-corner samples form the first block; the random draws follow in
+    blocks of at most ``SAMPLE_BATCH``, the kind of position p being p mod 3
+    (complex Wishart rescaled into the disc, real rank-one from the open cube
+    (0, sqrt(rho))^N, complex correlation matrix times rho).  A random block
+    holds one complex stack (the Wishart and correlation draws, in position
+    order) and one real stack (the cube draws).  The generator consumes the
+    same random stream as drawing the samples one at a time: each run of
+    consecutive Gaussian positions is one ``standard_normal`` call, which
+    fills its output in the order of the one-at-a-time calls.
     """
-    rho = float(rho)
+    rho = _disc_radius(N, rho)
     root = np.sqrt(rho)
     U = near_corner_path(N, root, NEAR_CORNER_DELTAS)[:count]
     if len(U):
@@ -104,30 +118,33 @@ def psd_disc_batches(
     while start < count:
         stop = min(count, start + SAMPLE_BATCH)
         positions = np.arange(start, stop)
-        real, imag, cube = [], [], []
-        for p in range(start, stop):
+        draws, cube = [], []
+        p = start
+        while p < stop:
             if p % 3 == 1:
                 u = rng.uniform(0.0, root, size=N)
-                while np.any(u == 0.0):
+                while not u.all():
                     u = rng.uniform(0.0, root, size=N)
                 cube.append(u)
+                p += 1
             else:
-                real.append(rng.standard_normal((N, N)))
-                imag.append(rng.standard_normal((N, N)))
+                # a correlation position and the Wishart one after it
+                run = min(stop - p, 2 if p % 3 == 2 else 1)
+                draws.append(rng.standard_normal((run, 2, N, N)))
+                p += run
         block = []
-        if real:
-            B = np.array(real) + 1j * np.array(imag)
+        if draws:
+            G = np.concatenate(draws)
+            B = G[:, 0] + 1j * G[:, 1]
             A = B @ B.conj().swapaxes(1, 2)
             gaussian = positions[positions % 3 != 1]
             wishart = gaussian % 3 == 0
             W = A[wishart]
-            if len(W):
-                scale = np.max(np.abs(W), axis=(1, 2))
-                block.append((gaussian[wishart], W * (rho / scale)[:, None, None]))
+            A[wishart] = W * (rho / np.max(np.abs(W), axis=(1, 2)))[:, None, None]
             C = A[~wishart]
-            if len(C):
-                d = np.sqrt(np.real(np.diagonal(C, axis1=1, axis2=2)))
-                block.append((gaussian[~wishart], rho * (C / _outer_rows(d))))
+            d = np.sqrt(np.real(np.diagonal(C, axis1=1, axis2=2)))
+            A[~wishart] = rho * (C / _outer_rows(d))
+            block.append((gaussian, A))
         if cube:
             block.append((positions[positions % 3 == 1], _outer_rows(np.array(cube))))
         yield block

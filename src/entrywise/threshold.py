@@ -18,7 +18,7 @@ from .backends import is_exact
 from .hadamard import coefficients, entrywise_poly, h_matrix, hadamard_power
 from .partitions import hook_dimension
 from .psd import _rank_one_values, psd_check
-from .samplers import near_corner_path, psd_disc_batches
+from .samplers import _disc_radius, near_corner_path, psd_disc_batches
 
 BOUNDARY_WIDTH = 1e-12
 
@@ -132,7 +132,8 @@ def preserves_positivity_check(
     Deterministic near-corner rank-one samples run first, then a seeded
     mixture of Wishart, rank-one, and correlation draws.  Samples are drawn
     and evaluated in blocks (one entrywise evaluation and one stacked
-    eigen-solve per sample kind), in the same draw order as one at a time;
+    eigen-solve per stack of a block: the complex Wishart and correlation
+    draws, the real rank-one draws), in the same draw order as one at a time;
     the verdict reports the first violating matrix of that order as witness,
     if any, with ``samples_checked`` counting it and the samples before it.
     """
@@ -171,13 +172,12 @@ def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
     cs = coefficients(c, N)
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if not (rho > 0):
-        raise ValueError("rho must be positive")
+    rho = _disc_radius(N, rho)
     deltas = [2.0 ** (-k) for k in range(1, min(grid, 48) + 1)]
     if N == 1:
         # single coordinate: the closed cube corner itself is admissible
         deltas.append(0.0)
-    path = near_corner_path(N, float(rho) ** 0.5, deltas).tolist()
+    path = near_corner_path(N, rho**0.5, deltas).tolist()
     # a NaN value (overflowed hooks) never beats the -inf start
     return max(-np.inf, *_rank_one_values(cs, M, path))
 
@@ -207,7 +207,7 @@ def horn_necessity_witness(
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    root = float(rho) ** 0.5
+    root = _disc_radius(N, rho) ** 0.5
     xs = [root * s for s in (0.999, 0.9, 0.7, 0.5, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3)]
     qs = (0.999, 0.95, 0.9, 0.8, 0.6, 0.4, 0.2, 0.1, 0.05, 0.01)
     sweep = [(x, q) for x in xs for q in qs]

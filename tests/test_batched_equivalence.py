@@ -140,6 +140,34 @@ def test_psd_disc_samples_across_batches():
     assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
 
 
+# random blocks start at positions 10, 10 + SAMPLE_BATCH, 10 + 2 SAMPLE_BATCH,
+# ...: at residues 1, 2, 0 mod 3 with SAMPLE_BATCH = 1024; a count of
+# 2 SAMPLE_BATCH + 37 splits the Gaussian pair 2057 | 2058 between blocks
+SPLIT_COUNT = 2 * SAMPLE_BATCH + 37
+
+
+def test_blocks_start_at_every_residue():
+    # keeps the state tests below covering every block start and the split
+    starts = [10 + k * SAMPLE_BATCH for k in range(3)]
+    assert sorted(p % 3 for p in starts) == [0, 1, 2]
+    assert (starts[2] - 1) % 3 == 2 and starts[2] % 3 == 0 and starts[2] < SPLIT_COUNT
+
+
+@pytest.mark.parametrize("N", (1, 2, 3))
+@pytest.mark.parametrize(
+    "count", (11, 12, 13, 14, SAMPLE_BATCH + 10, SAMPLE_BATCH + 11, SPLIT_COUNT)
+)
+def test_psd_disc_samples_leave_the_reference_state(N, count):
+    # same samples and the same generator state after them: the stream,
+    # not only the draws that were kept, is the one-at-a-time stream
+    want_rng, got_rng = np.random.default_rng(N + count), np.random.default_rng(N + count)
+    want = reference_samples(N, 0.75, count, want_rng)
+    got = list(psd_disc_samples(N, 0.75, count, got_rng))
+    assert len(got) == len(want) == count
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_exact_radius_gives_the_float_stream():
     # an exact radius must give float and complex samples, which
     # entrywise_poly and eigvalsh accept, not object arrays
@@ -184,6 +212,13 @@ def test_preserves_positivity_check_first_violation_in_random_block(seed):
 
 def test_preserves_positivity_check_across_batches():
     _assert_same_verdict({0: 1.0, 1: 1.0, 2: -0.2}, 2, 1.0, SAMPLE_BATCH + 20, seed=4)
+
+
+def test_preserves_positivity_check_across_split_pair():
+    # c' = -1/C: every sample passes, so the worst eigenvalue covers all blocks
+    f = {0: 1.0, 1: 1.0, 2: -0.2}
+    assert preserves_positivity_check(f, 2, 1.0, SPLIT_COUNT, seed=5).preserves
+    _assert_same_verdict(f, 2, 1.0, SPLIT_COUNT, seed=5)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -15,7 +15,7 @@ from entrywise.psd import (
 )
 from entrywise.samplers import near_corner_path, psd_disc_samples, random_separated_complex
 from entrywise.strata import GroupTag, IndexPartition, generate_in_stratum, stratify
-from entrywise.threshold import CoefficientTuple, threshold_constant
+from entrywise.threshold import CoefficientTuple, empirical_sharpness, threshold_constant
 
 
 def test_psd_check_basic():
@@ -133,6 +133,19 @@ def test_rank_one_bad_coefficients_raise_before_warning(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^coefficients must be positive$"):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rayleigh_rank_one((1, 1), -1, (0.3, 0.5)),
+    lambda: discontinuity_probe((1, 1), -1, 2, 1.0, (1e-3,)),
+    lambda: empirical_sharpness((1, 1), -1, 2, 1, 10),
+])
+def test_rank_one_sum_rejects_negative_exponent(call):
+    # a negative M would otherwise read a coefficient from the end: c_{N+M}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^exponent must be non-negative$"):
             call()
 
 

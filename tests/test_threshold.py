@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from entrywise.hadamard import coefficients
-from entrywise.samplers import near_corner_path
+from entrywise.samplers import near_corner_path, psd_disc_samples
 from entrywise.schur import hook_values
 from entrywise.threshold import (
     CoefficientTuple,
@@ -209,6 +209,44 @@ def test_empirical_sharpness_error_order():
     for rho in (0, -1.0, math.nan):
         with pytest.raises(ValueError, match="^rho must be positive$"):
             empirical_sharpness((1, 1), 3, 2, rho, 10)
+
+
+def test_empirical_sharpness_rejects_infinite_rho():
+    # every hook value on an infinite path is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^rho must be finite$"):
+            empirical_sharpness((1, 1), 3, 2, math.inf, 10)
+
+
+@pytest.mark.parametrize(
+    "N, rho, message",
+    [
+        (2, 0.0, "^rho must be positive$"),
+        (2, -1.0, "^rho must be positive$"),
+        (2, math.nan, "^rho must be positive$"),
+        (2, math.inf, "^rho must be finite$"),
+        (0, 1.0, "^N must be at least 1$"),
+    ],
+)
+def test_disc_searches_reject_bad_radius_or_size(N, rho, message):
+    # at rho = 0 the open cube is empty: uniform(0, 0) draws only zeros, so
+    # the rejection loops would never end
+    f = {0: 1.0, 1: 1.0, 2: -1.0}
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    calls = (
+        lambda: preserves_positivity_check(f, N, rho, 20),
+        lambda: horn_necessity_witness(f, N, rho, 200),
+        lambda: horn_necessity_witness(f, N, rho, 0),
+        lambda: next(psd_disc_samples(N, rho, 20, rng)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert rng.bit_generator.state == state
 
 
 def test_preserves_positivity_boundary_and_violation():
