@@ -59,14 +59,18 @@ class StrictTuple:
         return len(self.entries)
 
 
+def _require_hook(M: int, N: int, j: int) -> None:
+    if not (0 <= j < N <= M):
+        raise ValueError(f"need 0 <= j < N <= M, got M={M}, N={N}, j={j}")
+
+
 def hook_partition(M: int, N: int, j: int) -> Partition:
     """Hook shape (M-N+1, 1^(N-j-1), 0^j) of length N.
 
     Requires 0 <= j < N <= M; these are the shapes indexing the lower-degree
     Hadamard powers in the pencil determinant expansion.
     """
-    if not (0 <= j < N <= M):
-        raise ValueError(f"need 0 <= j < N <= M, got M={M}, N={N}, j={j}")
+    _require_hook(M, N, j)
     return Partition((M - N + 1,) + (1,) * (N - j - 1) + (0,) * j)
 
 
@@ -93,6 +97,5 @@ def hook_dimension(M: int, N: int, j: int) -> int:
     Closed form binom(M, j) * binom(M-j-1, N-j-1); cross-checked against
     explicit tableau enumeration in the test suite.
     """
-    if not (0 <= j < N <= M):
-        raise ValueError(f"need 0 <= j < N <= M, got M={M}, N={N}, j={j}")
+    _require_hook(M, N, j)
     return comb(M, j) * comb(M - j - 1, N - j - 1)

@@ -45,8 +45,7 @@ class DiscontinuityProbe:
 
 def psd_check(A: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff A is Hermitian (validated) with min eigenvalue >= -tol * max(1, ||A||)."""
-    w_min, scale = spectral.min_eigenvalue(spectral.require_hermitian(A, tol))
-    return bool(w_min >= -tol * scale)
+    return spectral.psd_verdict(A, tol)[1] is None
 
 
 def moore_penrose_sqrt(A: np.ndarray, tol: float = RANK_CUT) -> np.ndarray:
@@ -56,7 +55,7 @@ def moore_penrose_sqrt(A: np.ndarray, tol: float = RANK_CUT) -> np.ndarray:
     and zeroed; the rest are replaced by their inverse square roots.
     """
     w, V = np.linalg.eigh(spectral.require_hermitian(A, max(tol, 1e-9)))
-    wmax = float(w[-1]) if w.size else 0.0
+    wmax = float(w[-1])
     if wmax <= 0 and np.max(np.abs(w)) <= tol:
         return np.zeros_like(V)
     if wmax <= 0 or w[0] < -1e-9 * wmax:

@@ -222,7 +222,8 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     tolerance chaining produced a false merge).  The zero matrix maps to the
     single-block partition by convention.
 
-    Cost: one eigen-solve to validate A; the pair relation as a few
+    Cost: one validation of A (a Cholesky certificate from order 16 on, an
+    eigen-solve below it or when that fails); the pair relation as a few
     elementwise passes over N x N arrays; per component, an orbit test
     linear in its b^2 entries (all pairs only when their spread lies between
     half the cut and the cut) and one SVD of the b x b block.
@@ -301,18 +302,22 @@ def kernel_for_partition(pi: IndexPartition) -> SubspaceBasis:
     """Block zero-sum subspace: direct sum over blocks of mean-zero vectors.
 
     Dimension N - (number of blocks); the basis is exact Helmert vectors and
-    orthonormal by construction.
+    orthonormal by construction: column k of a block b_0 < b_1 < ... is 1 at
+    b_0..b_{k-1} and -k at b_k, over sqrt(k (k + 1)).  All columns come from
+    one array step over the indices listed block after block, where the
+    column of b_k sits at the position of b_k and b_0..b_{k-1} at the k
+    positions before it.
     """
-    N = pi.size
-    cols = []
-    for block in pi.blocks:
-        b = list(block)
-        for k in range(1, len(b)):
-            v = np.zeros(N, dtype=complex)
-            v[b[:k]] = 1.0
-            v[b[k]] = -k
-            cols.append(v / np.sqrt(k * (k + 1)))
-    basis = np.column_stack(cols) if cols else np.zeros((N, 0), dtype=complex)
+    order = [i for block in pi.blocks for i in block]
+    rank = np.array([r for block in pi.blocks for r in range(len(block))])
+    at = np.flatnonzero(rank)  # position of each column's b_k
+    k = rank[at]
+    d = at - np.arange(len(order))[:, None]  # column position minus row position
+    steps = ((d > 0) & (d <= k)) - (d == 0) * k
+    basis = np.empty(steps.shape, dtype=complex)
+    # a complex division rounds -k / s as -k * (1 / s), the bits that
+    # tests/test_closure_equivalence.py pins; a real one differs in the last bit
+    basis[order] = np.divide(steps, np.sqrt(k * (k + 1)), dtype=complex)
     return SubspaceBasis(basis.shape[1], basis)
 
 

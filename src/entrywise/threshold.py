@@ -247,22 +247,37 @@ def cross_dim_inequality_check(c, M: int, N: int, rho) -> bool:
     return left >= right
 
 
-def _validate_disc_psd(A: np.ndarray, rho, tol: float) -> None:
+def _loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
+    """(A, float coefficients, sharp constant C) of the two Loewner checks.
+
+    Checks, in this order: A square, the coefficients, A PSD with entries in
+    the closed disc of radius rho.  With ``refine`` it adds the hypotheses of
+    pd_refinement_check: N > 1 before the coefficients, M >= N after them,
+    and a row of pairwise distinct entries after the disc.
+    """
+    A = spectral.require_square(A)
+    N = A.shape[0]
+    if refine and N < 2:
+        raise ValueError("need N >= 2")
+    cs = coefficients(c, N)
+    if refine and M < N:
+        raise ValueError(f"need M >= N, got M={M}, N={N}")
     spectral.require_psd(A, tol)
-    limit = float(rho) * (1.0 + 1e-9) + tol
-    if np.max(np.abs(A)) > limit:
+    peak = float(np.max(np.abs(A)))
+    if peak > float(rho) * (1.0 + 1e-9) + tol:
         raise ValueError(f"entries exceed the closed disc of radius {rho}")
+    if refine:
+        scale = max(1.0, peak)
+        pairs = [(j, k) for j in range(N) for k in range(j + 1, N)]
+        if not any(all(abs(row[j] - row[k]) > tol * scale for j, k in pairs) for row in A):
+            raise ValueError("no row with pairwise distinct entries")
+    return A, [float(x) for x in cs], float(threshold_constant(cs, M, N, rho))
 
 
 def lmi_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
     """Loewner inequality A^(oM) <= C * sum_j c_j A^(oj) at the sharp constant."""
-    A = spectral.require_square(A)
-    N = A.shape[0]
-    cs = coefficients(c, N)
-    _validate_disc_psd(A, rho, tol)
-    C = float(threshold_constant(cs, M, N, rho))
-    F = C * np.asarray(h_matrix([float(x) for x in cs], A)) - hadamard_power(A, M)
-    return psd_check(F, tol)
+    A, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=False)
+    return psd_check(C * np.asarray(h_matrix(cs, A)) - hadamard_power(A, M), tol)
 
 
 def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
@@ -272,26 +287,7 @@ def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> boo
     particular A != rho * all-ones); under that hypothesis the boundary
     polynomial sends A to a positive definite matrix, not merely PSD.
     """
-    A = spectral.require_square(A)
-    N = A.shape[0]
-    if N < 2:
-        raise ValueError("need N >= 2")
-    cs = coefficients(c, N)
-    if M < N:
-        raise ValueError(f"need M >= N, got M={M}, N={N}")
-    _validate_disc_psd(A, rho, tol)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    has_distinct_row = any(
-        all(
-            abs(A[i, j] - A[i, k]) > tol * scale
-            for j in range(N)
-            for k in range(j + 1, N)
-        )
-        for i in range(N)
-    )
-    if not has_distinct_row:
-        raise ValueError("no row with pairwise distinct entries")
-    C = float(threshold_constant(cs, M, N, rho))
-    F = np.asarray(h_matrix([float(x) for x in cs], A)) - hadamard_power(A, M) / C
+    A, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=True)
+    F = np.asarray(h_matrix(cs, A)) - hadamard_power(A, M) / C
     w_min, scale = spectral.min_eigenvalue(spectral.hermitian_part(F))
     return bool(w_min > tol * scale)

@@ -186,11 +186,12 @@ def test_generate_in_stratum_matches_reference(group):
 
 
 def test_block_helpers_match_reference():
-    for N in (1, 2, 3, 4, 6):
+    for N in (1, 2, 3, 4, 6, 8, 24, 48, 80):
         parts = _partitions(N, 8, 100 + N)
         for pi in parts:
             basis = kernel_for_partition(pi).basis
             want = ref_kernel_for_partition(pi)
             assert basis.shape == want.shape and basis.tobytes() == want.tobytes()
+            assert basis.dtype == want.dtype and repr(basis) == repr(want)
         for p1, p2 in itertools.product(parts, repeat=2):
             assert refinement_leq(p1, p2) is ref_refinement_leq(p1, p2)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from entrywise import spectral
 from entrywise.psd import (
     discontinuity_probe,
     moore_penrose_sqrt,
@@ -14,7 +15,13 @@ from entrywise.psd import (
     rayleigh_variational,
 )
 from entrywise.samplers import near_corner_path, psd_disc_samples, random_separated_complex
-from entrywise.strata import GroupTag, IndexPartition, generate_in_stratum, stratify
+from entrywise.strata import (
+    GroupTag,
+    IndexPartition,
+    generate_in_stratum,
+    simultaneous_kernel,
+    stratify,
+)
 from entrywise.threshold import CoefficientTuple, empirical_sharpness, threshold_constant
 
 
@@ -95,6 +102,24 @@ def test_rayleigh_variational_input_errors(A, message):
     with pytest.raises(ValueError) as err:
         rayleigh_variational((1, 1, 1), 3, A)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A: spectral.require_psd(A, 1e-9),
+        psd_check,
+        moore_penrose_sqrt,
+        lambda A: stratify(A, GroupTag.TRIVIAL),
+        simultaneous_kernel,
+        lambda A: rayleigh_constant((1,), 1, A),
+        lambda A: rayleigh_variational((1,), 1, A),
+    ],
+)
+def test_empty_matrix_is_not_square(call):
+    # a 0 x 0 matrix used to reach a reduction with no identity inside numpy
+    with pytest.raises(ValueError, match="^square matrix required$"):
+        call(np.zeros((0, 0)))
 
 
 def test_rayleigh_variational_validates_once(monkeypatch):

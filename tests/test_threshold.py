@@ -325,7 +325,9 @@ def test_pd_refinement_needs_distinct_row():
 
 
 @pytest.mark.parametrize("check", [lmi_check, pd_refinement_check])
-@pytest.mark.parametrize("A", [5.0, np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))])
+@pytest.mark.parametrize(
+    "A", [5.0, np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.zeros((0, 0))]
+)
 def test_loewner_checks_need_a_square_matrix(check, A):
     # the shape is checked before its size is read, as psd_check checks it
     with pytest.raises(ValueError, match="^square matrix required$"):
