@@ -1,9 +1,13 @@
 """Scalar backends: exact Gaussian-rational arithmetic and tolerance-based floats.
 
 Exact scalars are ``int``, ``fractions.Fraction``, or :class:`GaussianRational`
-(complex numbers whose real and imaginary parts are both rational).  Floating
-scalars are plain ``float``/``complex``; equality on that side always goes
-through :func:`approx_eq` with a magnitude-scaled tolerance.
+(complex numbers whose real and imaginary parts are both rational).  A
+GaussianRational holds (a + b i) / d as one reduced triple of ints, d > 0 and
+gcd(a, b, d) = 1: the form is canonical, so equality compares triples, and
+each operation is a few integer products and one gcd.  Its ``re`` and ``im``
+read as Fractions.  Floating scalars are plain ``float``/``complex``;
+equality on that side always goes through :func:`approx_eq` with a
+magnitude-scaled tolerance.
 
 Exact determinants and linear solves share one fraction-free (Bareiss)
 elimination over Gaussian integers held as pairs of Python ints.  Each row is
@@ -14,10 +18,9 @@ needs no such division, since row scales leave the solution unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 DEFAULT_TOL = 1e-9
 
@@ -29,74 +32,91 @@ class Backend(Enum):
     FLOAT = "complex-double"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class GaussianRational:
-    """Complex scalar with exact rational real and imaginary parts."""
+    """Complex scalar with exact rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The value (a + b i) / d is held as three ints with d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal triples; arithmetic works on
+    the ints with one gcd per result.  ``re`` and ``im`` are Fractions: the
+    ones given to the constructor, else built on access.
+    """
+
+    __slots__ = ("_t", "_parts")
 
     def __init__(self, re=Fraction(0), im=Fraction(0)):
-        # parts that are already Fractions (every arithmetic result) are kept as they are
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        # parts that are already Fractions are kept as they are
+        re = re if type(re) is Fraction else Fraction(re)
+        im = im if type(im) is Fraction else Fraction(im)
+        q, s = re.denominator, im.denominator
+        d = lcm(q, s)
+        # both parts are reduced, so over the lcm of their denominators gcd(a, b, d) = 1
+        self._t = (re.numerator * (d // q), im.numerator * (d // s), d)
+        self._parts = (re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return self._parts[0] if self._parts else Fraction(self._t[0], self._t[2])
+
+    @property
+    def im(self) -> Fraction:
+        return self._parts[1] if self._parts else Fraction(self._t[1], self._t[2])
 
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
-        return NotImplemented
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        (a, b, d), (c, e, f) = self._t, t
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
-        return NotImplemented
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        (a, b, d), (c, e, f) = self._t, t
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other - self.re, -self.im)
-        return NotImplemented
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        (a, b, d), (c, e, f) = self._t, t
+        return _reduced(c * d - a * f, e * d - b * f, d * f)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return GaussianRational(a * c - b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        return NotImplemented
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        (a, b, d), (c, e, f) = self._t, t
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, GaussianRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            norm = c * c + d * d
-            if not norm:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussianRational(self.re / other, self.im / other)
-        return NotImplemented
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        (a, b, d), (c, e, f) = self._t, t
+        # (a + bi)/d over (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2))
+        norm = c * c + e * e
+        if not norm:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other) / self
-        return NotImplemented
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        return _from_triple(*t) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return GaussianRational(Fraction(1)) / self ** (-exponent)
+            return _from_triple(1, 0, 1) / self ** (-exponent)
         # binary ladder from the leading bit: no product with 1, no spare square
-        result = self if exponent else GaussianRational(Fraction(1))
+        result = self if exponent else _from_triple(1, 0, 1)
         for bit in bin(exponent)[3:]:
             result = result * result
             if bit == "1":
@@ -104,37 +124,74 @@ class GaussianRational:
         return result
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._t
+        return _from_triple(-a, -b, d)
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
-        return NotImplemented
+        # triples are canonical, and so are those of ints and Fractions
+        t = _triple(other)
+        return NotImplemented if t is None else self._t == t
 
     def __hash__(self):
         # equal to an int or Fraction of the same value, so hash as that value
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        re, im = self.re, self.im
+        return hash((re, im)) if im else hash(re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._t[0] or self._t[1])
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._t
+        return _from_triple(a, -b, d)
 
     def abs2(self) -> Fraction:
         """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._t
+        return Fraction(a * a + b * b, d * d)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        a, b, d = self._t
+        # int true division rounds correctly, as float() of a Fraction does
+        return complex(a / d, b / d)
 
     def __str__(self) -> str:
-        if not self.im:
+        if not self._t[1]:
             return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self._t[1] >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+_new = object.__new__
+
+
+def _from_triple(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b i) / d of a canonical triple: d > 0, gcd(a, b, d) = 1."""
+    z = _new(GaussianRational)
+    z._t = (a, b, d)
+    z._parts = None
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _from_triple(a, b, d)
+
+
+def _triple(value):
+    """(a, b, d) with value = (a + b i) / d canonical, or None for a non-exact value."""
+    if isinstance(value, GaussianRational):
+        return value._t
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
 
 
 EXACT_TYPES = (int, Fraction, GaussianRational)
@@ -154,15 +211,6 @@ def approx_eq(a, b, tol: float = DEFAULT_TOL) -> bool:
     return abs(fa - fb) <= tol * max(1.0, abs(fa), abs(fb))
 
 
-def _re_im(value) -> tuple:
-    """(re, im) of an exact scalar, each an int or a Fraction."""
-    if isinstance(value, GaussianRational):
-        return value.re, value.im
-    if isinstance(value, (int, Fraction)):
-        return value, 0
-    raise TypeError(f"exact backend scalar required, got {type(value).__name__}")
-
-
 def _square(rows) -> list:
     m = [list(row) for row in rows]
     if any(len(row) != len(m) for row in m):
@@ -179,11 +227,14 @@ def _gaussian_integer_rows(m):
     """
     re, im, scale, gaussian = [], [], 1, False
     for row in m:
-        parts = [_re_im(v) for v in row]
+        triples = [_triple(v) for v in row]
+        if None in triples:
+            bad = row[triples.index(None)]
+            raise TypeError(f"exact backend scalar required, got {type(bad).__name__}")
         gaussian = gaussian or any(isinstance(v, GaussianRational) for v in row)
-        d = lcm(*(x.denominator for pair in parts for x in pair))
-        re.append([a.numerator * (d // a.denominator) for a, _ in parts])
-        im.append([b.numerator * (d // b.denominator) for _, b in parts])
+        d = lcm(*(t[2] for t in triples))
+        re.append([a * (d // e) for a, _, e in triples])
+        im.append([b * (d // e) for _, b, e in triples])
         scale *= d
     return re, im, scale, gaussian
 
@@ -201,9 +252,11 @@ def _rational(a, b, c, d, gaussian: bool):
     gaussian, else as a Fraction (b and d are then 0)."""
     if d:
         a, b, c = a * c + b * d, b * c - a * d, c * c + d * d
-    if gaussian:
-        return GaussianRational(Fraction(a, c), Fraction(b, c))
-    return Fraction(a, c)
+    if not gaussian:
+        return Fraction(a, c)
+    if c < 0:
+        a, b, c = -a, -b, -c
+    return _reduced(a, b, c)
 
 
 def _eliminate(re, im) -> int:

@@ -9,6 +9,8 @@ is the finite constant computed by :func:`threshold_constant`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 import numpy as np
@@ -57,16 +59,28 @@ def threshold_constant(c, M: int, N: int, rho):
 
     Each binomial product is the hook dimension of the j-th term.  When M < N
     the constant is exactly 1/c_M, the only term of the formula taken with
-    generalized binomials.  Exact inputs (Fractions) give an exact value.
+    generalized binomials.  When rho and every c_j are ints or Fractions the
+    value is a Fraction: with rho = p/q, c_j = r_j/s_j and L = lcm(r_j), it is
+    the one integer sum_j h_j^2 p^(M-j) q^j s_j (L/r_j) over q^M L.
     """
     cs = coefficients(c, N)
     if not (rho > 0):
         raise ValueError("rho must be positive")
     if M < 0:
         raise ValueError("exponent must be non-negative")
+    exact = isinstance(rho, (int, Fraction)) and all(isinstance(x, (int, Fraction)) for x in cs)
     if M < N:
-        return rho**0 / cs[M]  # rho**0 is a 1 of rho's type, as in the formula's j = M term
-    return sum(hook_dimension(M, N, j) ** 2 * rho ** (M - j) / cs[j] for j in range(N))
+        # rho**0 is a 1 of rho's type, as in the formula's j = M term
+        return (Fraction(1) if exact else rho**0) / cs[M]
+    if not exact:
+        return sum(hook_dimension(M, N, j) ** 2 * rho ** (M - j) / cs[j] for j in range(N))
+    p, q = rho.numerator, rho.denominator
+    L = lcm(*(x.numerator for x in cs))
+    total = sum(
+        hook_dimension(M, N, j) ** 2 * p ** (M - j) * q**j * x.denominator * (L // x.numerator)
+        for j, x in enumerate(cs)
+    )
+    return Fraction(total, q**M * L)
 
 
 def partial_constants(c, M: int, N: int, rho) -> tuple:

@@ -79,11 +79,93 @@ def _threshold_constant_oracle(c, M, N, rho):
 @pytest.mark.parametrize("kind", [int, Fraction, float])
 @pytest.mark.parametrize("rho", [2, Fraction(3, 2), 0.75])
 def test_threshold_constant_matches_generalized_binomial_sum(kind, rho):
+    # int and Fraction inputs give a Fraction, so the oracle sums them as Fractions
+    exact = kind is not float and not isinstance(rho, float)
     for N in range(1, 6):
         c = tuple(kind(j + 2) for j in range(N))
         for M in range(12):
-            got, want = threshold_constant(c, M, N, rho), _threshold_constant_oracle(c, M, N, rho)
+            got = threshold_constant(c, M, N, rho)
+            if exact:
+                want = _threshold_constant_oracle(tuple(map(Fraction, c)), M, N, Fraction(rho))
+            else:
+                want = _threshold_constant_oracle(c, M, N, rho)
             assert (type(got), repr(got)) == (type(want), repr(want)), (N, M)
+
+
+def _reference_constant(c, M, N, rho):
+    """The expression threshold_constant evaluated before it summed exact inputs
+    as one integer over one denominator."""
+    cs = coefficients(c, N)
+    if M < N:
+        return rho**0 / cs[M]
+    from entrywise.partitions import hook_dimension
+
+    return sum(hook_dimension(M, N, j) ** 2 * rho ** (M - j) / cs[j] for j in range(N))
+
+
+def _random_coefficients(rng, N, kinds):
+    values = []
+    for _ in range(N):
+        kind = rng.choice(kinds)
+        if kind is int:
+            values.append(rng.randint(1, 12))
+        elif kind is Fraction:
+            values.append(Fraction(rng.randint(1, 12), rng.randint(1, 9)))
+        else:
+            values.append(rng.randint(1, 120) / 8)
+    return tuple(values)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_constant_matches_reference(seed):
+    # == and the same type as the reference wherever it is exact (the reference
+    # divides int by int, which is true division, so those entries are compared
+    # with the reference on the same values as Fractions)
+    rng = random.Random(seed)
+    for N in range(1, 7):
+        for M in range(N + 6):
+            for kinds in ((Fraction,), (int, Fraction)):
+                c = _random_coefficients(rng, N, kinds)
+                for rho in (Fraction(rng.randint(1, 9), rng.randint(1, 5)), rng.randint(1, 4)):
+                    got = threshold_constant(c, M, N, rho)
+                    want = _reference_constant(tuple(map(Fraction, c)), M, N, Fraction(rho))
+                    assert type(got) is Fraction and got == want, (c, M, N, rho)
+                    raw = _reference_constant(c, M, N, rho)
+                    if type(raw) is Fraction:
+                        assert got == raw
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float_constant_keeps_reference_bits(seed):
+    rng = random.Random(seed)
+    for N in range(1, 7):
+        for M in range(N + 6):
+            c = _random_coefficients(rng, N, (int, Fraction, float))
+            for rho in (rng.randint(1, 40) / 16, Fraction(rng.randint(1, 9), rng.randint(1, 5))):
+                if isinstance(rho, float) or any(isinstance(x, float) for x in c):
+                    got, want = threshold_constant(c, M, N, rho), _reference_constant(c, M, N, rho)
+                    assert (type(got), repr(got)) == (type(want), repr(want)), (c, M, N, rho)
+
+
+def test_int_inputs_give_exact_constant():
+    # int / int is true division; exact inputs must not fall back to floats
+    # C = rho^2 + 4 rho for c = (1, 1), M = N = 2
+    cases = (((Fraction(1), 1), 1, 5), ((1, 1), 1, 5), ((1, Fraction(1)), 2, 12), ((1, 1), 2, 12))
+    for c, rho, want in cases:
+        got = threshold_constant(c, 2, 2, rho)
+        assert type(got) is Fraction and got == want
+    got = threshold_constant((1, 2, 3), 1, 3, 1)  # M < N: 1/c_M
+    assert type(got) is Fraction and got == Fraction(1, 2)
+    assert type(threshold_constant((1,), 4, 1, 2)) is Fraction
+
+
+def test_int_inputs_verdict_is_exact():
+    # the bound -1/5 is exact, so a c' just above it is admissible, not boundary
+    above = Fraction(-1, 5) + Fraction(1, 10**14)
+    for c in ((1, 1), (Fraction(1), 1)):
+        assert admissible_verdict(c, 2, 2, 1, above) == "admissible"
+        assert admissible_verdict(c, 2, 2, 1, Fraction(-1, 5)) == "boundary"
+        assert admissible_verdict(c, 2, 2, 1, Fraction(-1, 5) - Fraction(1, 10**14)) == "inadmissible"
 
 
 def test_partial_chain_endpoints_and_monotonicity():
