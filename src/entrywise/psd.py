@@ -80,9 +80,16 @@ def rayleigh_constant(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> 
     A = spectral.require_psd(A, tol)
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
-    S = moore_penrose_sqrt(np.asarray(h_matrix(coefficients(c, A.shape[0]), A)))
+    S = moore_penrose_sqrt(_h(coefficients(c, A.shape[0]), A))
     w, V = np.linalg.eigh(spectral.hermitian_part(S @ hadamard_power(A, M) @ S))
     return RayleighResult(float(w[-1]), _unit(S @ V[:, -1]), "spectral-radius")
+
+
+def _h(cs: tuple, H: np.ndarray) -> np.ndarray:
+    """h_c[H] for the array H, kept with H while H is the validation memo's
+    matrix (spectral.derived); keyed by the coefficients as entrywise_poly
+    uses them."""
+    return spectral.derived(H, ("h", tuple(complex(x) for x in cs)), h_matrix, cs, H)
 
 
 def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
@@ -137,11 +144,12 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     N = A.shape[0]
     cs = coefficients(c, N)
     pi = strata._stratify(A, strata.GroupTag.TRIVIAL, tol)
-    Q = np.zeros((N, len(pi.blocks)), dtype=complex)
-    for col, block in enumerate(pi.blocks):
-        Q[list(block), col] = 1.0 / np.sqrt(len(block))
+    sizes = [len(block) for block in pi.blocks]
+    cols = np.repeat(np.arange(len(sizes)), sizes)  # block of each listed index
+    Q = np.zeros((N, len(sizes)), dtype=complex)
+    Q[[i for block in pi.blocks for i in block], cols] = (1.0 / np.sqrt(sizes))[cols]
     Ap = spectral.hermitian_part(Q.conj().T @ hadamard_power(A, M) @ Q)
-    Hp = spectral.hermitian_part(Q.conj().T @ np.asarray(h_matrix(cs, A)) @ Q)
+    Hp = spectral.hermitian_part(Q.conj().T @ _h(cs, A) @ Q)
     try:
         w, W = scipy.linalg.eigh(Ap, Hp)
     except np.linalg.LinAlgError:

@@ -7,11 +7,24 @@ radius).  This module holds that test once.  Code that needs the spectrum
 yes/no decision of :func:`psd_verdict` behind ``require_psd`` and
 ``psd.psd_check`` first tries, from order 16 on, a Cholesky certificate
 that accepts only what the eigenvalue test accepts, and solves when the
-certificate is not tried or fails.  It
-imports numpy only, so every other module (``strata`` included, which
-``psd`` imports) can use it.  ``hermitian_part`` and ``min_eigenvalue``
-take one matrix or a stack ``(k, N, N)``.  Eigen-solves and factorisations
-are looked up on ``np.linalg`` at call time.
+certificate is not tried or fails.
+
+One private memo keeps the last matrix :func:`psd_verdict` decided: its
+``tol``, shape, layout and the bytes of its complex form, its read-only
+Hermitian part H, the verdict, and a small dict of values derived from H
+(:func:`derived`; ``psd`` keeps h_c[H] there, ``strata`` the stratification).
+A call on byte-identical input with an equal ``tol`` returns the stored H
+and verdict with no Hermitian check, factorisation or eigen-solve; any other
+call runs the test and replaces the entry, so the memo holds one entry and
+an input changed in place is validated afresh.  Input that is not square,
+finite and Hermitian within ``tol`` raises and leaves the entry as it was.
+:func:`clear_memo` empties it.  So the steps that take one matrix through
+its stratum, its joint kernel and its Rayleigh values validate it once.
+
+The module imports numpy only, so every other module (``strata``
+included, which ``psd`` imports) can use it.  ``hermitian_part`` and
+``min_eigenvalue`` take one matrix or a stack ``(k, N, N)``.  Eigen-solves
+and factorisations are looked up on ``np.linalg`` at call time.
 """
 
 from __future__ import annotations
@@ -28,6 +41,12 @@ CERTIFY_MIN_N = 16
 # see psd_verdict for the bound it must meet.
 CERTIFY_GUARD = 64
 _EPS = float(np.finfo(float).eps)
+
+# The last matrix psd_verdict decided, as (key, H, w_min, derived values):
+# key is (tol, shape, strides, bytes) of its complex form.  It is replaced
+# whole and its dict only gains entries, so threads sharing it can at most
+# repeat work.
+_memo: tuple | None = None
 
 
 def hermitian_part(X: np.ndarray) -> np.ndarray:
@@ -52,9 +71,10 @@ def require_hermitian(A, tol: float) -> np.ndarray:
     if not math.isfinite(amax):  # a NaN would pass every tolerance test below
         raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, amax)
-    if np.abs(A - A.conj().T).max() > tol * scale:
+    AH = A.conj().T
+    if np.abs(A - AH).max() > tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return hermitian_part(A)
+    return (A + AH) / 2  # hermitian_part(A), with the conjugate transpose made once
 
 
 def min_eigenvalue(H: np.ndarray):
@@ -122,19 +142,61 @@ def psd_verdict(A, tol: float):
     >= tol s / 2 - c n^2 u s (2 + 1.5 tol).  With 6 c n^2 u <= 1 (n below
     10^6) this is >= tol s / 4 - 2 c n^2 u s, which the guard
     tol >= 4 c n^2 eps = 8 c n^2 u makes >= 0: the eigenvalue test passes.
+
+    The pair is kept in the memo (see the module docstring), and H is
+    read-only.
     """
+    global _memo
+    A = np.asarray(A, dtype=complex)  # as require_square starts
+    # the layout is part of the key: it can steer the rounding of later products
+    key = (tol, A.shape, A.strides, A.tobytes())
+    memo = _memo
+    if memo is not None and memo[0] == key:
+        return memo[1], memo[2]
     H = require_hermitian(A, tol)
+    H.setflags(write=False)
+    w_min = _decide(H, tol)
+    _memo = (key, H, w_min, {})
+    return H, w_min
+
+
+def _decide(H, tol: float):
+    """None if the Hermitian matrix H is PSD within tol, else its smallest
+    eigenvalue (the test of :func:`psd_verdict`)."""
     n = H.shape[0]
     if n >= CERTIFY_MIN_N and tol >= CERTIFY_GUARD * n * n * _EPS:
         G = H.copy()
         G.flat[:: n + 1] += tol * max(1.0, float(H.diagonal().real.max())) / 2
         try:
             np.linalg.cholesky(G)
-            return H, None
+            return None
         except np.linalg.LinAlgError:
             pass
     w_min, scale = min_eigenvalue(H)
-    return H, None if w_min >= -tol * scale else w_min
+    return None if w_min >= -tol * scale else w_min
+
+
+def derived(H, key, make, *args):
+    """make(*args), kept under key while H is the memo's own matrix: a later
+    call with that H and an equal key returns the kept value, an array
+    read-only.  For any other H, make runs and nothing is kept."""
+    memo = _memo
+    if memo is None or memo[1] is not H:
+        return make(*args)
+    values = memo[3]
+    value = values.get(key, values)  # the dict itself marks a missing key
+    if value is values:
+        value = make(*args)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        values[key] = value
+    return value
+
+
+def clear_memo() -> None:
+    """Forget the last validated matrix and the values derived from it."""
+    global _memo
+    _memo = None
 
 
 def require_psd(A, tol: float) -> np.ndarray:

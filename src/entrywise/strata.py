@@ -223,8 +223,10 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     single-block partition by convention.
 
     Cost: one validation of A (a Cholesky certificate from order 16 on, an
-    eigen-solve below it or when that fails); the pair relation as a few
-    elementwise passes over N x N arrays; per component, an orbit test
+    eigen-solve below it or when that fails; neither, and no stratification
+    when one under the same group and tol is kept, if A was the last matrix
+    validated: see ``spectral``); the pair relation as a few elementwise
+    passes over N x N arrays; per component, an orbit test
     linear in its b^2 entries (all pairs only when their spread lies between
     half the cut and the cut) and one SVD of the b x b block.
     """
@@ -233,7 +235,13 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
 
 
 def _stratify(H, group: GroupTag, tol: float) -> IndexPartition:
-    """stratify on the Hermitian part H of a validated PSD matrix."""
+    """stratify on the Hermitian part H of a validated PSD matrix, kept with
+    H while H is the validation memo's matrix (spectral.derived)."""
+    return spectral.derived(H, ("stratify", group, tol), _partition, H, group, tol)
+
+
+def _partition(H, group: GroupTag, tol: float) -> IndexPartition:
+    """The maximal partition of stratify, on a validated Hermitian part H."""
     N = H.shape[0]
     scale = float(np.max(np.abs(H)))
     if scale == 0.0:
@@ -335,7 +343,7 @@ def rank_bound_check(A, tol: float = 1e-9) -> bool:
     """Numerical rank of A is at most the number of nonzero_complex strata blocks."""
     H, w = spectral.psd_spectrum(A, tol)
     rank = int(np.sum(~spectral.kernel_mask(w, tol)))
-    return rank <= len(_stratify(H, GroupTag.NONZERO_COMPLEX, tol).blocks)
+    return rank <= len(_partition(H, GroupTag.NONZERO_COMPLEX, tol).blocks)
 
 
 def _block_vectors(pi: IndexPartition, group: GroupTag, rng: np.random.Generator) -> np.ndarray:
