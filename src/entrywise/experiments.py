@@ -32,9 +32,10 @@ from .hadamard import (
     vandermonde_matrix,
     vandermonde_solve_moments,
 )
-from .samplers import random_fraction, random_positive_fraction
+from .samplers import _disc_radius, random_fraction, random_positive_fraction
 from .samplers import random_gaussian_rational_vector as _vec
 from .threshold import (
+    _cross_dim_sides,
     empirical_sharpness,
     horn_necessity_witness,
     partial_constants,
@@ -198,11 +199,6 @@ class PowerSearchConfig:
     tol: float = 1e-9
 
 
-def _power_violation(A: np.ndarray, alpha: float, tol: float) -> Optional[float]:
-    w_min, scale = spectral.min_eigenvalue(spectral.hermitian_part(np.power(A, alpha)))
-    return float(w_min) if w_min < -tol * scale else None
-
-
 def _power_candidates(n: int, rho: float, seed: int):
     """The structured sweep of run_power_nonpreservation, then seeded random draws."""
     thetas = [
@@ -234,18 +230,16 @@ def run_power_nonpreservation(cfg: PowerSearchConfig) -> tuple[dict, dict]:
         raise ValueError("N must be at least 2")
     if not (cfg.N - 2 < cfg.alpha < cfg.N - 1):
         raise ValueError(f"alpha must lie in ({cfg.N - 2}, {cfg.N - 1})")
-    rho = float(cfg.rho)  # float or Fraction; one that underflows to 0.0 fails here
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    rho = _disc_radius(cfg.N, cfg.rho)  # a Fraction that underflows to 0.0 fails here
     if cfg.budget < 0:
         raise ValueError("budget must be non-negative")
     n = cfg.N + 1
     results = {"witness_found": False, "trials": 0, "alpha": cfg.alpha, "dimension": n}
     for A in itertools.islice(_power_candidates(n, rho, cfg.seed), cfg.budget):
         results["trials"] += 1
-        bad = _power_violation(A, cfg.alpha, cfg.tol)
-        if bad is not None:
-            results.update(witness_found=True, min_eigenvalue=bad)
+        w_min, _, bad = spectral.psd_failures(np.power(A, cfg.alpha), cfg.tol)
+        if bad:
+            results.update(witness_found=True, min_eigenvalue=float(w_min))
             return results, {"matrix": A}
     return results, {}
 
@@ -300,7 +294,7 @@ def run_cross_dim(cfg: CrossDimConfig) -> tuple[dict, dict]:
         )
         rho = Fraction(rng.randint(1, 20), rng.randint(1, 10))
         chain = partial_constants(c, M, N, rho)
-        total = threshold_constant(c, M, N, rho)
+        total, lower = _cross_dim_sides(c, M, N, rho)
         ok_chain = (
             all(chain[i] < chain[i + 1] for i in range(N - 1))
             and chain[0] == rho ** (M - N + 1) / c[N - 1]
@@ -308,8 +302,6 @@ def run_cross_dim(cfg: CrossDimConfig) -> tuple[dict, dict]:
         )
         if not ok_chain:
             chain_violations += 1
-        derived = tuple(k * c[k] for k in range(1, N))
-        lower = M * threshold_constant(derived, M - 1, N - 1, rho)
         if total < lower:
             cross_violations += 1
         if lower > 0:

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .backends import all_exact, det_exact
-from .partitions import StrictTuple, staircase_complement
+from .partitions import StrictTuple, _require_m_ge_n, staircase_complement
 from .schur import _jacobi_trudi, hook_values, vandermonde_det
 
 
@@ -38,8 +38,12 @@ class PencilSpec:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("at least one pencil coefficient required")
-        if self.M < 0:
-            raise ValueError("exponent must be non-negative")
+        _require_exponent(self.M)
+
+
+def _require_exponent(M: int) -> None:
+    if M < 0:
+        raise ValueError("exponent must be non-negative")
 
 
 def coefficients(c, N: int) -> tuple:
@@ -76,8 +80,7 @@ def _det(A):
 
 def hadamard_power(A, n: int):
     """Entrywise power A^(on) with the convention A^(o0) = all-ones."""
-    if n < 0:
-        raise ValueError("Hadamard power exponent must be non-negative")
+    _require_exponent(n)
     X = _matrix(A)
     return _like(np.ones_like(X) if n == 0 else X**n, A)
 
@@ -158,8 +161,7 @@ def pencil_det_closed_form(spec: PencilSpec, u, v):
         raise ValueError("u and v must be nonempty with equal length")
     if len(spec.coeffs) != n:
         raise ValueError(f"need {n} coefficients, got {len(spec.coeffs)}")
-    if spec.M < n:
-        raise ValueError(f"need M >= N, got M={spec.M}, N={n}")
+    _require_m_ge_n(spec.M, n)
     if any(c == 0 for c in spec.coeffs):
         raise ValueError("closed form requires nonzero coefficients")
     su, sv = hook_values(spec.M, [u, v])
@@ -184,9 +186,8 @@ def _validate_exponent_map(coeffs_by_exponent: Mapping[int, object]):
 
 def cauchy_binet_lhs(coeffs_by_exponent: Mapping[int, object], u, v):
     """det( sum_n c_n (u v^T)^(on) ) computed directly."""
-    exponents = _validate_exponent_map(coeffs_by_exponent)
-    A = rank_one_outer(u, v)
-    total = entrywise_poly({n: coeffs_by_exponent[n] for n in exponents}, A)
+    _validate_exponent_map(coeffs_by_exponent)
+    total = entrywise_poly(coeffs_by_exponent, rank_one_outer(u, v))
     return _det(total if isinstance(total, list) else total.astype(complex))
 
 
@@ -218,8 +219,7 @@ def _decomposition_weights(A, M: int):
     degenerates to the single trivial term A^(oM) itself.
     """
     X = _matrix(A.tolist() if isinstance(A, np.ndarray) else A)
-    if M < 0:
-        raise ValueError("exponent must be non-negative")
+    _require_exponent(M)
     if M >= len(X):
         return _moment_weights(M, X), X
     W = np.zeros(X.shape, dtype=object)
@@ -274,6 +274,5 @@ def vandermonde_solve_moments(u, M: int):
         for b in range(a + 1, n):
             if u[a] == u[b]:
                 raise ValueError(f"coordinates {a} and {b} coincide")
-    if M < n:
-        raise ValueError(f"need M >= N, got M={M}, N={n}")
+    _require_m_ge_n(M, n)
     return _moment_weights(M, [u])[0].tolist()

@@ -64,6 +64,11 @@ def _require_hook(M: int, N: int, j: int) -> None:
         raise ValueError(f"need 0 <= j < N <= M, got M={M}, N={N}, j={j}")
 
 
+def _require_m_ge_n(M: int, N: int) -> None:
+    if M < N:
+        raise ValueError(f"need M >= N, got M={M}, N={N}")
+
+
 def hook_partition(M: int, N: int, j: int) -> Partition:
     """Hook shape (M-N+1, 1^(N-j-1), 0^j) of length N.
 
@@ -78,17 +83,14 @@ def staircase_complement(nprime) -> Partition:
     """Partition obtained by subtracting the staircase from a strict tuple.
 
     For entries d_0 > d_1 > ... > d_{N-1} >= 0 returns
-    (d_0 - (N-1), d_1 - (N-2), ..., d_{N-1}).
+    (d_0 - (N-1), d_1 - (N-2), ..., d_{N-1}), always a partition: its last
+    part is d_{N-1} >= 0, and d_k >= d_{k+1} + 1 makes it weakly decreasing.
     """
     if not isinstance(nprime, StrictTuple):
         nprime = StrictTuple(tuple(nprime))
     entries = nprime.entries
     n = len(entries)
-    lam = tuple(entries[k] - (n - 1 - k) for k in range(n))
-    try:
-        return Partition(lam)
-    except ValueError as exc:
-        raise ValueError(f"staircase complement of {entries} is not a partition") from exc
+    return Partition(tuple(entries[k] - (n - 1 - k) for k in range(n)))
 
 
 def hook_dimension(M: int, N: int, j: int) -> int:

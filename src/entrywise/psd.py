@@ -20,8 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from . import spectral, strata
-from .hadamard import coefficients, h_matrix, hadamard_power
-from .samplers import near_corner_path
+from .hadamard import _require_exponent, coefficients, h_matrix, hadamard_power
+from .samplers import _disc_radius, near_corner_path
 from .schur import hook_values
 
 RANK_CUT = 1e-12
@@ -54,7 +54,14 @@ def moore_penrose_sqrt(A: np.ndarray, tol: float = RANK_CUT) -> np.ndarray:
     Eigenvalues at or below tol * lambda_max are treated as kernel directions
     and zeroed; the rest are replaced by their inverse square roots.
     """
-    w, V = np.linalg.eigh(spectral.require_hermitian(A, max(tol, 1e-9)))
+    return _pinv_sqrt(spectral.require_hermitian(A, max(tol, 1e-9)), tol)
+
+
+def _pinv_sqrt(H: np.ndarray, tol: float) -> np.ndarray:
+    """moore_penrose_sqrt of the Hermitian H, unchecked: eigh reads its lower triangle."""
+    w, V = np.linalg.eigh(H)
+    if not np.isfinite(w).all():  # eigh returns NaN for a non-finite entry
+        raise ValueError("matrix has a non-finite eigenvalue")
     wmax = float(w[-1])
     if wmax <= 0 and np.max(np.abs(w)) <= tol:
         return np.zeros_like(V)
@@ -80,7 +87,8 @@ def rayleigh_constant(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> 
     A = spectral.require_psd(A, tol)
     if np.max(np.abs(A)) == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
-    S = moore_penrose_sqrt(_h(coefficients(c, A.shape[0]), A))
+    # h_c of the exactly Hermitian A is exactly Hermitian, so it needs no check
+    S = _pinv_sqrt(_h(coefficients(c, A.shape[0]), A), RANK_CUT)
     w, V = np.linalg.eigh(spectral.hermitian_part(S @ hadamard_power(A, M) @ S))
     return RayleighResult(float(w[-1]), _unit(S @ V[:, -1]), "spectral-radius")
 
@@ -120,8 +128,7 @@ def _warn_near_coincident(M: int, N: int, points) -> None:
 def _rank_one_values(cs: tuple, M: int, points) -> list:
     """rayleigh_rank_one at each of the points, for checked coefficients cs
     (one per coordinate), from one hook_values call and without warnings."""
-    if M < 0:
-        raise ValueError("exponent must be non-negative")
+    _require_exponent(M)
     cf = [float(x) for x in cs]
     if M < len(cf):
         return [1.0 / cf[M] for _ in points]
@@ -182,10 +189,11 @@ def discontinuity_probe(
         raise ValueError("epsilons must be positive")
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
         raise ValueError("epsilons must be strictly decreasing")
-    path = near_corner_path(N, float(rho) ** 0.5, eps).tolist()
+    rho = _disc_radius(N, rho)
+    path = near_corner_path(N, rho**0.5, eps).tolist()
     cs = coefficients(c, N)  # a bad c raises before any warning
     _warn_near_coincident(M, N, path)
     rows = list(zip(eps, _rank_one_values(cs, M, path)))
-    corner = float(rho) * np.ones((N, N))
+    corner = rho * np.ones((N, N))
     on_point = rayleigh_constant(c, M, corner).value
     return DiscontinuityProbe(tuple(rows), on_point, rows[-1][1])

@@ -3,7 +3,7 @@
 Every positivity decision in the package has one meaning: the smallest
 eigenvalue of a Hermitian part, compared on the scale max(1, spectral
 radius).  This module holds that test once.  Code that needs the spectrum
-(``psd_spectrum``, ``min_eigenvalue`` on a stack) runs an eigen-solve; the
+(``psd_spectrum``, ``psd_failures`` on a stack) runs an eigen-solve; the
 yes/no decision of :func:`psd_verdict` behind ``require_psd`` and
 ``psd.psd_check`` first tries, from order 16 on, a Cholesky certificate
 that accepts only what the eigenvalue test accepts, and solves when the
@@ -11,8 +11,8 @@ certificate is not tried or fails.
 
 One private memo keeps the last matrix :func:`psd_verdict` decided: its
 ``tol``, shape, layout and the bytes of its complex form, its read-only
-Hermitian part H, the verdict, and a small dict of values derived from H
-(:func:`derived`; ``psd`` keeps h_c[H] there, ``strata`` the stratification).
+Hermitian part H, the verdict, and one value of each kind derived from H
+(:func:`derived`: ``psd`` keeps one h_c[H], ``strata`` one stratification).
 A call on byte-identical input with an equal ``tol`` returns the stored H
 and verdict with no Hermitian check, factorisation or eigen-solve; any other
 call runs the test and replaces the entry, so the memo holds one entry and
@@ -23,7 +23,7 @@ its stratum, its joint kernel and its Rayleigh values validate it once.
 
 The module imports numpy only, so every other module (``strata``
 included, which ``psd`` imports) can use it.  ``hermitian_part`` and
-``min_eigenvalue`` take one matrix or a stack ``(k, N, N)``.  Eigen-solves
+``psd_failures`` take one matrix or a stack ``(k, N, N)``.  Eigen-solves
 and factorisations are looked up on ``np.linalg`` at call time.
 """
 
@@ -43,9 +43,10 @@ CERTIFY_GUARD = 64
 _EPS = float(np.finfo(float).eps)
 
 # The last matrix psd_verdict decided, as (key, H, w_min, derived values):
-# key is (tol, shape, strides, bytes) of its complex form.  It is replaced
-# whole and its dict only gains entries, so threads sharing it can at most
-# repeat work.
+# key is (tol, shape, strides, bytes) of its complex form, and the dict maps
+# each kind of derived value to its one (key, value) pair.  The tuple and
+# each pair are replaced whole, so threads sharing them can at most repeat
+# work.
 _memo: tuple | None = None
 
 
@@ -77,19 +78,21 @@ def require_hermitian(A, tol: float) -> np.ndarray:
     return (A + AH) / 2  # hermitian_part(A), with the conjugate transpose made once
 
 
-def min_eigenvalue(H: np.ndarray):
-    """(w_min, scale) of the Hermitian matrix H, per matrix of a stack: its
-    smallest eigenvalue and max(1, largest eigenvalue modulus).
-
-    Only the lower triangle of H is read, so a matrix that is Hermitian only
-    up to rounding goes in as its :func:`hermitian_part`.
-    """
-    return _extremes(np.linalg.eigvalsh(H))
-
-
 def _extremes(w: np.ndarray):
     """(w_min, max(1, max|w|)) of ascending eigenvalues, per row of a stack."""
     return w[..., 0], np.abs(w).max(axis=-1, initial=1.0)
+
+
+def psd_failures(X, tol: float):
+    """(w_min, scale, bad) per matrix of X or of a stack X: the smallest
+    eigenvalue of its Hermitian part, max(1, largest eigenvalue modulus) and
+    whether w_min < -tol * scale.  A non-finite entry, whose NaN eigenvalues
+    would fail no test, raises ValueError."""
+    H = hermitian_part(X)
+    if not np.isfinite(H).all():
+        raise ValueError("matrix has a non-finite entry")
+    w_min, scale = _extremes(np.linalg.eigvalsh(H))
+    return w_min, scale, w_min < -tol * scale
 
 
 def _not_psd(w_min) -> ValueError:
@@ -172,24 +175,27 @@ def _decide(H, tol: float):
             return None
         except np.linalg.LinAlgError:
             pass
-    w_min, scale = min_eigenvalue(H)
+    w_min, scale = _extremes(np.linalg.eigvalsh(H))
     return None if w_min >= -tol * scale else w_min
 
 
 def derived(H, key, make, *args):
     """make(*args), kept under key while H is the memo's own matrix: a later
     call with that H and an equal key returns the kept value, an array
-    read-only.  For any other H, make runs and nothing is kept."""
+    read-only.  One value is kept per kind, the first item of a tuple key (a
+    key of another type is its own kind), and a new key of that kind replaces
+    it.  For any other H, make runs and nothing is kept."""
     memo = _memo
     if memo is None or memo[1] is not H:
         return make(*args)
-    values = memo[3]
-    value = values.get(key, values)  # the dict itself marks a missing key
-    if value is values:
-        value = make(*args)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        values[key] = value
+    kind = key[0] if isinstance(key, tuple) else key
+    kept = memo[3].get(kind)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    value = make(*args)
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    memo[3][kind] = (key, value)
     return value
 
 

@@ -27,6 +27,8 @@ _ORBIT_MARGIN = 1e-12
 _PAIR_CHUNK = 1 << 18
 # Seeds seed, seed + 1, ... tried by generate_in_stratum and closure_probe.
 _MAX_ATTEMPTS = 25
+# The tol at which those two label their matrices: stratify's default.
+_LABEL_TOL = 1e-9
 
 
 class GroupTag(Enum):
@@ -136,10 +138,8 @@ def _single_orbit(values: np.ndarray, group: GroupTag, tol: float, scale: float)
     mods = _modulus(values)
     if group is GroupTag.UNIT_CIRCLE:
         return bool(mods.max() - mods.min() <= cut)
-    if group is GroupTag.NONZERO_COMPLEX:
-        big = mods > cut
-        return bool(big.all() or not big.any())
-    raise ValueError(f"unknown group {group!r}")
+    big = mods > cut  # GroupTag.NONZERO_COMPLEX
+    return bool(big.all() or not big.any())
 
 
 def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
@@ -167,12 +167,10 @@ def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
         hi = np.maximum(np.maximum.outer(m_d, m_d), m_h)
         lo = np.minimum(np.minimum.outer(m_d, m_d), m_h)
         return flat & (hi - lo <= cut)
-    if group is GroupTag.NONZERO_COMPLEX:
-        b_d, b_h = m_d > cut, m_h > cut
-        every = np.logical_and.outer(b_d, b_d) & b_h
-        none = ~(np.logical_or.outer(b_d, b_d) | b_h)
-        return flat & (every | none)
-    raise ValueError(f"unknown group {group!r}")
+    b_d, b_h = m_d > cut, m_h > cut  # GroupTag.NONZERO_COMPLEX
+    every = np.logical_and.outer(b_d, b_d) & b_h
+    none = ~(np.logical_or.outer(b_d, b_d) | b_h)
+    return flat & (every | none)
 
 
 def _block_ok(sub, group: GroupTag, tol: float, scale: float) -> bool:
@@ -368,6 +366,13 @@ def _random_core(k: int, rng: np.random.Generator) -> np.ndarray:
     return G @ G.conj().T / k + 0.5 * np.eye(k)
 
 
+def _draw_in_stratum(pi: IndexPartition, group: GroupTag, rng: np.random.Generator):
+    """(U, C, A): block vectors U, core C and U C U* (exactly Hermitian) in pi's stratum."""
+    U = _block_vectors(pi, group, rng)
+    C = _random_core(len(pi.blocks), rng)
+    return U, C, spectral.hermitian_part(U @ C @ U.conj().T)
+
+
 def generate_in_stratum(
     pi: IndexPartition,
     group: GroupTag,
@@ -377,16 +382,14 @@ def generate_in_stratum(
 
     Built as U C U* with a positive definite core C over the blocks and
     single-orbit block vectors U; generic draws keep distinct blocks from
-    merging, and the construction is verified by a stratify round trip
+    merging, and the construction is verified by a stratification round trip
     (retried with a fresh seed on failure).
     """
     _require_group(group)
     for attempt in range(_MAX_ATTEMPTS):
-        rng = np.random.default_rng(seed + attempt)
-        U = _block_vectors(pi, group, rng)
-        C = _random_core(len(pi.blocks), rng)
-        A = spectral.hermitian_part(U @ C @ U.conj().T)
-        if stratify(A, group) == pi:
+        A = _draw_in_stratum(pi, group, np.random.default_rng(seed + attempt))[2]
+        # PSD by construction, so labelled with no validation and no memo entry
+        if _partition(A, group, _LABEL_TOL) == pi:
             return A
     raise RuntimeError(f"could not realize stratum {pi.blocks} for {group.value}")
 
@@ -403,14 +406,13 @@ def closure_probe(
     Requires pi_source strictly finer than pi_target: limits of a stratum can
     only merge blocks, so the boundary of the source stratum meets exactly the
     strata of coarser partitions.  Returns [(frobenius_distance, label), ...]
-    with the limit point last; labels come from stratify at each step.
+    with the limit point last; each label is the point's stratification.
     """
-    if pi_target.size != pi_source.size:
-        raise ValueError("partitions must share a ground set")
     if pi_target == pi_source or not refinement_leq(pi_source, pi_target):
         raise ValueError("pi_source must strictly refine pi_target")
     if steps < 1:
         raise ValueError("steps must be positive")
+    _require_group(group)
     N = pi_target.size
     k_s = len(pi_source.blocks)
     k_t = len(pi_target.blocks)
@@ -420,9 +422,7 @@ def closure_probe(
 
     for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.default_rng(seed + attempt)
-        U_t = _block_vectors(pi_target, group, rng)
-        C_t = _random_core(k_t, rng)
-        A_t = spectral.hermitian_part(U_t @ C_t @ U_t.conj().T)
+        U_t, C_t, A_t = _draw_in_stratum(pi_target, group, rng)
         full = U_t.sum(axis=1)  # value of the target scaffold at each index
         R = _random_core(k_s, rng)
         scalar_bumps = rng.uniform(0.3, 1.0, size=k_s)
@@ -441,8 +441,8 @@ def closure_probe(
             U_s = np.zeros((N, k_s), dtype=complex)
             U_s[np.arange(N), src] = vals
             P = spectral.hermitian_part(U_s @ (E @ C_t @ E.T + d * R) @ U_s.conj().T)
-            rows.append((float(np.linalg.norm(P - A_t)), stratify(P, group)))
-        rows.append((0.0, stratify(A_t, group)))
+            rows.append((float(np.linalg.norm(P - A_t)), _partition(P, group, _LABEL_TOL)))
+        rows.append((0.0, _partition(A_t, group, _LABEL_TOL)))
         if all(label == pi_source for _, label in rows[:-1]) and rows[-1][1] == pi_target:
             return rows
     # no fully clean draw found; report the last attempt honestly

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import spectral
 from .backends import is_exact
-from .hadamard import coefficients, entrywise_poly, h_matrix, hadamard_power
-from .partitions import hook_dimension
+from .hadamard import _require_exponent, coefficients, entrywise_poly, h_matrix, hadamard_power
+from .partitions import _require_m_ge_n, hook_dimension
 from .psd import _rank_one_values, psd_check
 from .samplers import _disc_radius, near_corner_path, psd_disc_batches
 
@@ -36,8 +36,7 @@ class CoefficientTuple:
         object.__setattr__(self, "c", tuple(self.c))
         if len(self.c) == 0:
             raise ValueError("at least one coefficient required")
-        if any(not (x > 0) for x in self.c):
-            raise ValueError("lower-order coefficients must be positive")
+        coefficients(self.c, len(self.c))
 
     def __len__(self) -> int:
         return len(self.c)
@@ -66,8 +65,7 @@ def threshold_constant(c, M: int, N: int, rho):
     cs = coefficients(c, N)
     if not (rho > 0):
         raise ValueError("rho must be positive")
-    if M < 0:
-        raise ValueError("exponent must be non-negative")
+    _require_exponent(M)
     exact = isinstance(rho, (int, Fraction)) and all(isinstance(x, (int, Fraction)) for x in cs)
     if M < N:
         # rho**0 is a 1 of rho's type, as in the formula's j = M term
@@ -91,8 +89,7 @@ def partial_constants(c, M: int, N: int, rho) -> tuple:
     strictly increasing in m with C_N the full constant.  Requires M >= N.
     """
     cs = coefficients(c, N)
-    if M < N:
-        raise ValueError(f"need M >= N, got M={M}, N={N}")
+    _require_m_ge_n(M, N)
     return tuple(
         threshold_constant(cs[N - m :], M - N + m, m, rho) for m in range(1, N + 1)
     )
@@ -158,10 +155,8 @@ def preserves_positivity_check(
     for block in psd_disc_batches(N, rho, samples, rng):
         first = None  # (position, matrix, relative eigenvalue)
         for positions, stack in block:
-            w_min, scale = spectral.min_eigenvalue(
-                spectral.hermitian_part(np.asarray(entrywise_poly(f, stack)))
-            )
-            rel, bad = w_min / scale, w_min < -tol * scale
+            w_min, scale, bad = spectral.psd_failures(np.asarray(entrywise_poly(f, stack)), tol)
+            rel = w_min / scale
             if bad.any():
                 i = int(np.argmax(bad))
                 if first is None or positions[i] < first[0]:
@@ -238,9 +233,7 @@ def horn_necessity_witness(
             U = rng.uniform(0.0, root, size=(k, N))
             U = U[np.all(U != 0.0, axis=1)]
         A = U[:, :, None] * U[:, None, :]
-        F = np.asarray(entrywise_poly(f, A), dtype=float)
-        w_min, scale = spectral.min_eigenvalue(spectral.hermitian_part(F))
-        bad = w_min < -tol * scale
+        bad = spectral.psd_failures(np.asarray(entrywise_poly(f, A), dtype=float), tol)[2]
         if bad.any():
             return A[np.argmax(bad)].copy()
         tried += len(U)
@@ -252,13 +245,16 @@ def cross_dim_inequality_check(c, M: int, N: int, rho) -> bool:
     """C(c; z^M; N, rho) >= M * C((c_1, 2 c_2, ..., (N-1) c_{N-1}); z^(M-1); N-1, rho)."""
     if N < 2:
         raise ValueError("need N >= 2")
-    if M < N:
-        raise ValueError(f"need M >= N, got M={M}, N={N}")
-    cs = coefficients(c, N)
-    left = threshold_constant(cs, M, N, rho)
-    derived = tuple(k * cs[k] for k in range(1, N))
-    right = M * threshold_constant(derived, M - 1, N - 1, rho)
+    _require_m_ge_n(M, N)
+    left, right = _cross_dim_sides(c, M, N, rho)
     return left >= right
+
+
+def _cross_dim_sides(c, M: int, N: int, rho) -> tuple:
+    """(left, right): the two sides of :func:`cross_dim_inequality_check`."""
+    cs = coefficients(c, N)
+    derived = tuple(k * cs[k] for k in range(1, N))
+    return threshold_constant(cs, M, N, rho), M * threshold_constant(derived, M - 1, N - 1, rho)
 
 
 def _loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
@@ -274,8 +270,8 @@ def _loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
     if refine and N < 2:
         raise ValueError("need N >= 2")
     cs = coefficients(c, N)
-    if refine and M < N:
-        raise ValueError(f"need M >= N, got M={M}, N={N}")
+    if refine:
+        _require_m_ge_n(M, N)
     spectral.require_psd(A, tol)
     peak = float(np.max(np.abs(A)))
     if peak > float(rho) * (1.0 + 1e-9) + tol:
@@ -303,5 +299,5 @@ def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> boo
     """
     A, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=True)
     F = np.asarray(h_matrix(cs, A)) - hadamard_power(A, M) / C
-    w_min, scale = spectral.min_eigenvalue(spectral.hermitian_part(F))
+    w_min, scale, _ = spectral.psd_failures(F, tol)
     return bool(w_min > tol * scale)

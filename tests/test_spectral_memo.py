@@ -164,8 +164,8 @@ def test_chain_validates_builds_h_and_stratifies_once(monkeypatch):
     )
     c = tuple(1.0 + j / 24 for j in range(24))
     _chain(A, GroupTag.TRIVIAL, c, 25)
-    # A once, and each of the two h_c[A] in its Moore-Penrose root
-    assert count.hermitian == 3
+    # A once; h_c[A] is exactly Hermitian and goes into its root unchecked
+    assert count.hermitian == 1
     assert len(built) == 2  # one h_c[A] per coefficient vector
     assert partitions == [GroupTag.TRIVIAL]
 
@@ -260,3 +260,31 @@ def test_errors_repeat(monkeypatch):
         assert psd_check(P, 1e-9) is False
     assert messages == ["matrix is not positive semidefinite: eigenvalue -2"] * 3
     assert (count.hermitian, count.eigvalsh) == (4, 1)
+
+
+def test_one_derived_value_per_kind():
+    # the memo keeps one h_c[A] and one stratification, not one per coefficient vector
+    A = _stratum_matrix(24, GroupTag.TRIVIAL, 1)
+    rng = np.random.default_rng(7)
+    vectors = [tuple(float(x) for x in rng.uniform(0.5, 2.0, 24)) for _ in range(50)]
+    for c in vectors:
+        rayleigh_variational(c, 25, A)
+    kept = spectral._memo[3]
+    assert len(kept) <= 2
+    (h_key, h), (pi_key, pi) = kept["h"], kept["stratify"]
+    spectral.clear_memo()
+    H = spectral.require_psd(A, 1e-9)
+    assert h_key == ("h", tuple(complex(x) for x in vectors[-1]))
+    assert h.tobytes() == psd.h_matrix(vectors[-1], H).tobytes()
+    assert pi_key == ("stratify", GroupTag.TRIVIAL, 1e-9)
+    assert pi == strata._partition(H, GroupTag.TRIVIAL, 1e-9)
+
+
+def test_generating_and_probing_keep_the_callers_entry(monkeypatch):
+    # both label their own PSD-by-construction matrices without validating them
+    H = spectral.require_psd(A3, 1e-9)
+    count = _Count(monkeypatch)
+    generate_in_stratum(IndexPartition(((0, 1), (2,))), GroupTag.UNIT_CIRCLE, seed=3)
+    strata.closure_probe(IndexPartition(((0, 1, 2),)), IndexPartition(((0, 1), (2,))), 3)
+    assert spectral.require_psd(A3, 1e-9) is H
+    assert (count.hermitian, count.eigvalsh) == (0, 0)
