@@ -84,13 +84,25 @@ def rayleigh_constant(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> 
     Valid for every nonzero PSD A; the pseudo-inverse square root projects out
     the simultaneous kernel automatically.
     """
-    A = spectral.require_psd(A, tol)
-    if np.max(np.abs(A)) == 0.0:
-        raise ValueError("zero matrix has no Rayleigh constant")
+    _, hc, AM = _rayleigh_inputs(c, M, A, tol)
     # h_c of the exactly Hermitian A is exactly Hermitian, so it needs no check
-    S = _pinv_sqrt(_h(coefficients(c, A.shape[0]), A), RANK_CUT)
-    w, V = np.linalg.eigh(spectral.hermitian_part(S @ hadamard_power(A, M) @ S))
+    S = _pinv_sqrt(hc, RANK_CUT)
+    w, V = np.linalg.eigh(spectral.hermitian_part(S @ AM @ S))
     return RayleighResult(float(w[-1]), _unit(S @ V[:, -1]), "spectral-radius")
+
+
+def _rayleigh_inputs(c: Sequence, M: int, A, tol: float):
+    """(H, h_c[H], H^(oM)) for H = require_psd(A, tol): H nonzero, both finite."""
+    H = spectral.require_psd(A, tol)
+    if np.max(np.abs(H)) == 0.0:
+        raise ValueError("zero matrix has no Rayleigh constant")
+    hc = _h(coefficients(c, H.shape[0]), H)
+    if not np.isfinite(hc).all():  # its eigenvalues would be NaN
+        raise ValueError("matrix has a non-finite eigenvalue")
+    AM = hadamard_power(H, M)
+    if not np.isfinite(AM).all():
+        raise ValueError("A^(oM) has a non-finite entry")
+    return H, hc, AM
 
 
 def _h(cs: tuple, H: np.ndarray) -> np.ndarray:
@@ -145,18 +157,15 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     complement is spanned by normalized block indicators, and the quotient
     restricted there is a generalized Hermitian eigenproblem.
     """
-    A = spectral.require_psd(A, tol)
-    if np.max(np.abs(A)) == 0.0:
-        raise ValueError("zero matrix has no Rayleigh constant")
+    A, hc, AM = _rayleigh_inputs(c, M, A, tol)
     N = A.shape[0]
-    cs = coefficients(c, N)
     pi = strata._stratify(A, strata.GroupTag.TRIVIAL, tol)
     sizes = [len(block) for block in pi.blocks]
     cols = np.repeat(np.arange(len(sizes)), sizes)  # block of each listed index
     Q = np.zeros((N, len(sizes)), dtype=complex)
     Q[[i for block in pi.blocks for i in block], cols] = (1.0 / np.sqrt(sizes))[cols]
-    Ap = spectral.hermitian_part(Q.conj().T @ hadamard_power(A, M) @ Q)
-    Hp = spectral.hermitian_part(Q.conj().T @ _h(cs, A) @ Q)
+    Ap = spectral.hermitian_part(Q.conj().T @ AM @ Q)
+    Hp = spectral.hermitian_part(Q.conj().T @ hc @ Q)
     try:
         w, W = scipy.linalg.eigh(Ap, Hp)
     except np.linalg.LinAlgError:

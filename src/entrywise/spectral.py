@@ -51,8 +51,9 @@ _memo: tuple | None = None
 
 
 def hermitian_part(X: np.ndarray) -> np.ndarray:
-    """(X + X^H) / 2 over the last two axes."""
-    return (X + X.conj().swapaxes(-1, -2)) / 2
+    """(X + X^H) / 2 over the last two axes, halved first: no finite entry overflows."""
+    Y = X / 2
+    return Y + Y.conj().swapaxes(-1, -2)
 
 
 def require_square(A) -> np.ndarray:
@@ -72,26 +73,37 @@ def require_hermitian(A, tol: float) -> np.ndarray:
     if not math.isfinite(amax):  # a NaN would pass every tolerance test below
         raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, amax)
-    AH = A.conj().T
-    if np.abs(A - AH).max() > tol * scale:
+    if np.abs(A - A.conj().T).max() > tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (A + AH) / 2  # hermitian_part(A), with the conjugate transpose made once
+    return hermitian_part(A)
 
 
-def _extremes(w: np.ndarray):
-    """(w_min, max(1, max|w|)) of ascending eigenvalues, per row of a stack."""
-    return w[..., 0], np.abs(w).max(axis=-1, initial=1.0)
+def spectrum(solve, X):
+    """(solve(X * s), s) for an eigenvalue or singular-value routine: s = 1, or
+    2^-k, 2^k >= 2n, where the n x n X (or stack) has values beyond the float range."""
+    w = solve(X)
+    if not np.isinf(w).any():
+        return w, 1.0
+    s = 2.0 ** -(2 * X.shape[-1]).bit_length()
+    return solve(X * s), s
+
+
+def _extremes(H):
+    """(w, w_min, scale, s): ascending eigenvalues w of H * s (see spectrum), per
+    row of a stack, their least and max(s, max|w|), H's max(1, max|w|) at s."""
+    w, s = spectrum(np.linalg.eigvalsh, H)
+    return w, w[..., 0], np.abs(w).max(axis=-1, initial=s), s
 
 
 def psd_failures(X, tol: float):
-    """(w_min, scale, bad) per matrix of X or of a stack X: the smallest
-    eigenvalue of its Hermitian part, max(1, largest eigenvalue modulus) and
+    """(w_min, scale, bad) per matrix of X or of a stack X: the smallest eigenvalue
+    of its Hermitian part and max(1, largest modulus), at s (see _extremes), and
     whether w_min < -tol * scale.  A non-finite entry, whose NaN eigenvalues
     would fail no test, raises ValueError."""
     H = hermitian_part(X)
     if not np.isfinite(H).all():
         raise ValueError("matrix has a non-finite entry")
-    w_min, scale = _extremes(np.linalg.eigvalsh(H))
+    _, w_min, scale, _ = _extremes(H)
     return w_min, scale, w_min < -tol * scale
 
 
@@ -102,12 +114,11 @@ def _not_psd(w_min) -> ValueError:
 def psd_spectrum(A, tol: float):
     """(H, w): the Hermitian part H of A, which must be Hermitian and PSD
     within tol (smallest eigenvalue >= -tol * scale), and the ascending
-    eigenvalues w of H; raises ValueError otherwise."""
+    eigenvalues w of H (at s: see spectrum); raises ValueError otherwise."""
     H = require_hermitian(A, tol)
-    w = np.linalg.eigvalsh(H)
-    w_min, scale = _extremes(w)
+    w, w_min, scale, s = _extremes(H)
     if not w_min >= -tol * scale:
-        raise _not_psd(w_min)
+        raise _not_psd(float(w_min) / s)  # -inf beyond the float range
     return H, w
 
 
@@ -175,8 +186,8 @@ def _decide(H, tol: float):
             return None
         except np.linalg.LinAlgError:
             pass
-    w_min, scale = _extremes(np.linalg.eigvalsh(H))
-    return None if w_min >= -tol * scale else w_min
+    _, w_min, scale, s = _extremes(H)
+    return None if w_min >= -tol * scale else float(w_min) / s
 
 
 def derived(H, key, make, *args):

@@ -48,19 +48,14 @@ class IndexPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
-        blocks = tuple(sorted(blocks, key=lambda b: b[0] if b else -1))
+        blocks = tuple(sorted(tuple(sorted(int(i) for i in b)) for b in self.blocks))
         object.__setattr__(self, "blocks", blocks)
-        seen: set[int] = set()
-        total = 0
-        for b in blocks:
-            if not b:
-                raise ValueError("empty block")
-            total += len(b)
-            seen.update(b)
-        if not seen:
+        if not all(blocks):
+            raise ValueError("empty block")
+        indices = sorted(i for b in blocks for i in b)
+        if not indices:
             raise ValueError("empty partition")
-        if len(seen) != total or seen != set(range(total)):
+        if indices != list(range(len(indices))):
             raise ValueError("blocks must partition a contiguous index range from 0")
 
     @property
@@ -90,22 +85,6 @@ def refinement_leq(p1: IndexPartition, p2: IndexPartition) -> bool:
 def _labels(pi: IndexPartition) -> np.ndarray:
     """Block number of each index of pi, as an int array."""
     return np.array(sorted((i, a) for a, b in enumerate(pi.blocks) for i in b))[:, 1]
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
 
 
 def _modulus(z):
@@ -179,8 +158,8 @@ def _block_ok(sub, group: GroupTag, tol: float, scale: float) -> bool:
         return False
     if min(sub.shape) < 2:
         return True
-    s = np.linalg.svd(sub, compute_uv=False)
-    return bool(s[1] <= tol * max(scale, float(s[0])))
+    s, f = spectral.spectrum(lambda X: np.linalg.svd(X, compute_uv=False), sub)
+    return bool(s[1] <= tol * max(scale * f, float(s[0])))
 
 
 def _sub(H, rows, cols):
@@ -245,13 +224,16 @@ def _partition(H, group: GroupTag, tol: float) -> IndexPartition:
     if scale == 0.0:
         return single_block_partition(N)
     related = _related(H, group, tol, scale)
-    uf = _UnionFind(N)
-    rows, cols = np.nonzero(np.triu(related, 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        uf.union(i, j)
+    # component labels: each index takes the least label it is related to
+    # (itself included, as the diagonal of related is set), then that
+    # index's own label, until no label changes
+    label, last = np.arange(N), None
+    while not np.array_equal(label, last):
+        last, step = label, np.where(related, label, N).min(axis=1)
+        label = step[step]
     components: dict[int, list[int]] = {}
-    for i in range(N):
-        components.setdefault(uf.find(i), []).append(i)
+    for i, root in enumerate(label.tolist()):
+        components.setdefault(root, []).append(i)
     blocks: list[tuple[int, ...]] = []
     for comp in components.values():
         for part in _verified_split(H, comp, related, group, tol, scale):

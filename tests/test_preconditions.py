@@ -33,9 +33,9 @@ from entrywise.hadamard import (
     rank_one_outer,
     vandermonde_solve_moments,
 )
-from entrywise.matrixio import load_matrix, parse_scalar
+from entrywise.matrixio import load_matrix, parse_partition, parse_scalar
 from entrywise.partitions import StrictTuple, staircase_complement
-from entrywise.psd import discontinuity_probe, rayleigh_constant
+from entrywise.psd import discontinuity_probe, rayleigh_constant, rayleigh_variational
 from entrywise.schur import principal_specialization, schur_eval_ssyt_oracle
 from entrywise.strata import (
     GroupTag,
@@ -149,6 +149,13 @@ ROWS = [
      ValueError, "partition length 2 != N = 3", None),
     # strata
     ("partition-empty", lambda: IndexPartition(()), ValueError, "empty partition", None),
+    ("partition-empty-block", lambda: IndexPartition(((0,), ())), ValueError, "empty block",
+     None),
+    ("partition-range", lambda: IndexPartition(((0, 2),)), ValueError,
+     "blocks must partition a contiguous index range from 0", None),
+    ("partition-range-parsed", lambda: parse_partition("1,3"), ValueError,
+     "bad partition '1,3': blocks must partition a contiguous index range from 0",
+     ["experiment", "closure-probe", "--target", "1,3", "--source", "1|3"]),
     ("refinement-ground-set",
      lambda: refinement_leq(singleton_partition(2), singleton_partition(3)), ValueError,
      "partitions must share a ground set", None),
@@ -187,6 +194,18 @@ ROWS = [
     # h_c[A] overflows
     ("rayleigh-overflow", lambda: rayleigh_constant((1, 1, 1), 3, 1e200 * np.eye(3)),
      ValueError, "matrix has a non-finite eigenvalue", None),
+    ("rayleigh-variational-overflow",
+     lambda: rayleigh_variational((1, 1, 1), 3, 1e200 * np.eye(3)),
+     ValueError, "matrix has a non-finite eigenvalue", None),
+    # A^(oM) overflows: the spectral route used to return NaN, the variational
+    # route to raise scipy's "array must not contain infs or NaNs"
+    ("rayleigh-power-overflow", lambda: rayleigh_constant((1, 1), 2, np.full((2, 2), 1e200)),
+     ValueError, "A^(oM) has a non-finite entry",
+     (["rayleigh", "--c", "1,1", "--M", "2", "--matrix", MATRIX],
+      '{"entries": [[{"re": 1e200}, {"re": 1e200}], [{"re": 1e200}, {"re": 1e200}]]}')),
+    ("rayleigh-variational-power-overflow",
+     lambda: rayleigh_variational((1, 1), 2, np.full((2, 2), 1e200)),
+     ValueError, "A^(oM) has a non-finite entry", None),
     # experiments
     ("identity-which", lambda: run_identity_suite(IdentitySuiteConfig("nope")), ValueError,
      "unknown identity 'nope'; choose from ('pencil', 'cauchy-binet', 'decomposition', 'moments')",

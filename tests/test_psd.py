@@ -49,6 +49,33 @@ def test_non_finite_entries_rejected(route, bad):
         route(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+def test_huge_finite_entries_accepted():
+    # (A + A^H) / 2 used to overflow above about 9e307: psd_check was False
+    # and stratify raised "eigenvalue nan" where the halved matrix passed
+    A = np.full((2, 2), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert psd_check(A) and psd_check(A / 2)
+        assert stratify(A, GroupTag.TRIVIAL) == IndexPartition(((0, 1),))
+        assert simultaneous_kernel(A).dim == 1
+        bad = spectral.psd_failures(np.stack([A, -A, np.eye(2)]), 1e-9)[2]
+    assert bad.tolist() == [False, True, False]
+
+
+def test_spectrum_beyond_the_float_range():
+    # finite entries whose eigenvalues or singular values overflow: the
+    # eigenvalue test compared -inf with -tol * inf and passed, and a rank-two
+    # block with an infinite largest singular value verified as rank one
+    for n, a in ((2, -0.9e308), (3, -7e307), (20, -1e307)):
+        assert not psd_check(np.full((n, n), a))
+        message = "^matrix is not positive semidefinite: eigenvalue -inf$"
+        with pytest.raises(ValueError, match=message):
+            stratify(np.full((n, n), a), GroupTag.TRIVIAL)
+    assert psd_check(np.full((20, 20), 1e307))
+    B = np.array([[1e308, 0.9e308], [0.9e308, 1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert stratify(B, GroupTag.NONZERO_COMPLEX) == IndexPartition(((0,), (1,)))
+
+
 def test_moore_penrose_sqrt_squares_to_pinv():
     rng = np.random.default_rng(0)
     B = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entrywise import spectral, strata
 from entrywise.strata import (
     GroupTag,
     IndexPartition,
@@ -78,6 +79,24 @@ def test_stratify_rejects_non_psd():
     bad = np.array([[1.0, 3.0], [3.0, 1.0]])
     with pytest.raises(ValueError, match="eigenvalue"):
         stratify(bad, GroupTag.TRIVIAL)
+
+
+def test_component_labels_cross_a_path_in_few_rounds(monkeypatch):
+    """u u* with u_k = 1 + 0.45e-9 k relates each index to its neighbours
+    only.  Each label round jumps to the label's own label, so the 80-index
+    path is one component after a few rounds; taking the least neighbouring
+    label alone would take 80."""
+    u = 1.0 + 0.45e-9 * np.arange(80)
+    H = spectral.require_psd(np.outer(u, u), 1e-9)
+    k = np.arange(80)
+    related = strata._related(H, GroupTag.TRIVIAL, 1e-9, float(np.max(np.abs(H))))
+    assert (related == (np.abs(np.subtract.outer(k, k)) <= 1)).all()
+    calls = []
+    where = np.where
+    monkeypatch.setattr(np, "where", lambda *args: calls.append(1) or where(*args))
+    pi = strata._partition(H, GroupTag.TRIVIAL, 1e-9)
+    assert pi.blocks == tuple((i, i + 1) for i in range(0, 80, 2))
+    assert len(calls) <= 8
 
 
 def test_stratify_scaling_invariance_cx():

@@ -197,6 +197,9 @@ def _other_matrices():
     out.append(("chain-3", _near_equal_rank_one([0.0, 0.8, 1.6], 1.0)))
     out.append(("chain-5", _near_equal_rank_one([0.0, 0.5, 1.0, 1.5, 2.0], 1.0)))
     out.append(("chain-shuffled", _near_equal_rank_one([1.6, 0.0, 0.8, 2.4, 0.4, 1.2], 1.0)))
+    # u_k = 1 + 0.45e-9 k: each index related to its neighbours only, an
+    # 80-index path that the component labels must cross
+    out.append(("path-80", _near_equal_rank_one(np.arange(80), 0.9)))
     # one block whose spread lies in (cut/2, cut] or just above the cut
     for spread in (0.7, 0.95, 1.05):
         t = rng.permutation(np.linspace(0.0, 1.0, 12))
