@@ -10,6 +10,7 @@ a tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -121,6 +122,35 @@ def entrywise_poly(coeffs: Mapping[int, object], A):
 def h_matrix(coeffs_ascending, A):
     """sum_j c_j A^(oj) for dense coefficients c_0..c_{d}."""
     return entrywise_poly(dict(enumerate(coeffs_ascending)), A)
+
+
+def _h_hermitian(coeffs_ascending, H: np.ndarray) -> np.ndarray:
+    """h_matrix of an exactly Hermitian complex array H (as
+    spectral.hermitian_part returns it), from its upper triangle alone.
+
+    The entrywise products and sums of conj(z) are the conjugates of those
+    of z, and a sum that starts from +0 never ends in -0, so h_matrix on the
+    whole of H gives, bit for bit, v on and above the diagonal and
+    conj(v) + 0 (a zero imaginary part as +0) below it.
+    """
+    upper, lower = _triangle(H.shape[0])
+    v = h_matrix(coeffs_ascending, H.take(upper))
+    out = np.empty(H.shape, dtype=complex)
+    out.put(lower, v.conj() + 0.0)
+    out.put(upper, v)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _triangle(n: int):
+    """Flat indices of the upper triangle of an n x n array, diagonal
+    included, and of their mirror images, read-only (kept: np.triu_indices
+    costs about as much as a small h_c)."""
+    i, j = np.triu_indices(n)
+    upper, lower = i * n + j, j * n + i
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
 
 
 def rank_one_outer(u, v):

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import spectral, strata
-from .hadamard import _require_exponent, coefficients, h_matrix, hadamard_power
+from .hadamard import _h_hermitian, _require_exponent, coefficients, hadamard_power
 from .samplers import _disc_radius, near_corner_path
 from .schur import hook_values
 
@@ -92,24 +91,37 @@ def rayleigh_constant(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) -> 
 
 
 def _rayleigh_inputs(c: Sequence, M: int, A, tol: float):
-    """(H, h_c[H], H^(oM)) for H = require_psd(A, tol): H nonzero, both finite."""
+    """(H, h_c[H], H^(oM)) for H = require_psd(A, tol): H nonzero, both
+    finite; the two arrays are kept with H while H is the validation memo's
+    matrix (spectral.derived), so a repeat call checks neither again."""
     H = spectral.require_psd(A, tol)
     if np.max(np.abs(H)) == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
     hc = _h(coefficients(c, H.shape[0]), H)
-    if not np.isfinite(hc).all():  # its eigenvalues would be NaN
-        raise ValueError("matrix has a non-finite eigenvalue")
-    AM = hadamard_power(H, M)
-    if not np.isfinite(AM).all():
-        raise ValueError("A^(oM) has a non-finite entry")
+    AM = spectral.derived(H, ("power", M), _finite_power, H, M)
     return H, hc, AM
 
 
 def _h(cs: tuple, H: np.ndarray) -> np.ndarray:
-    """h_c[H] for the array H, kept with H while H is the validation memo's
+    """h_c[H] for the exactly Hermitian H, which must be finite (its
+    eigenvalues would be NaN), kept with H while H is the validation memo's
     matrix (spectral.derived); keyed by the coefficients as entrywise_poly
     uses them."""
-    return spectral.derived(H, ("h", tuple(complex(x) for x in cs)), h_matrix, cs, H)
+    return spectral.derived(H, ("h", tuple(complex(x) for x in cs)), _finite_h, cs, H)
+
+
+def _finite_h(cs: tuple, H: np.ndarray) -> np.ndarray:
+    hc = _h_hermitian(cs, H)
+    if not np.isfinite(hc).all():
+        raise ValueError("matrix has a non-finite eigenvalue")
+    return hc
+
+
+def _finite_power(H: np.ndarray, M: int) -> np.ndarray:
+    AM = hadamard_power(H, M)
+    if not np.isfinite(AM).all():
+        raise ValueError("A^(oM) has a non-finite entry")
+    return AM
 
 
 def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
@@ -157,6 +169,8 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     complement is spanned by normalized block indicators, and the quotient
     restricted there is a generalized Hermitian eigenproblem.
     """
+    import scipy.linalg  # here, so that importing the package leaves scipy unloaded
+
     A, hc, AM = _rayleigh_inputs(c, M, A, tol)
     N = A.shape[0]
     pi = strata._stratify(A, strata.GroupTag.TRIVIAL, tol)

@@ -12,7 +12,8 @@ certificate is not tried or fails.
 One private memo keeps the last matrix :func:`psd_verdict` decided: its
 ``tol``, shape, layout and the bytes of its complex form, its read-only
 Hermitian part H, the verdict, and one value of each kind derived from H
-(:func:`derived`: ``psd`` keeps one h_c[H], ``strata`` one stratification).
+(:func:`derived`: ``psd`` keeps one h_c[H] and one H^(oM), ``strata`` one
+stratification).
 A call on byte-identical input with an equal ``tol`` returns the stored H
 and verdict with no Hermitian check, factorisation or eigen-solve; any other
 call runs the test and replaces the entry, so the memo holds one entry and

@@ -7,18 +7,23 @@ entries in a single G-orbit; the off-diagonal blocks then inherit the same
 structure automatically.  The partition labels a stratum of the cone, and on
 trivial-group strata the simultaneous kernel of all Hadamard powers is the
 fixed block zero-sum subspace.
+
+Every block that stratify and verify_offdiagonal_structure test, diagonal or
+off-diagonal, goes through one kernel (_blocks_ok): the orbit test and a
+certified rank-one test for all blocks at once in whole-array passes, with an
+SVD only for a block the certificate cannot accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, combinations
 
 import numpy as np
-import scipy.linalg
 
 from . import spectral
-from .hadamard import h_matrix
+from .hadamard import _h_hermitian
 
 # Relative margin of the triangle-inequality shortcut in the trivial-group
 # orbit test: computed distances can break the inequality by a few ulps.
@@ -29,6 +34,12 @@ _PAIR_CHUNK = 1 << 18
 _MAX_ATTEMPTS = 25
 # The tol at which those two label their matrices: stratify's default.
 _LABEL_TOL = 1e-9
+# Entries up to which a lone block is tested by _block_ok rather than by the
+# passes of _blocks_ok: one _block_ok with its SVD took 21-31 us from 2x2 to
+# 8x8, the passes 44-47 us, and the two met near 16x16 (2-core Xeon, one BLAS
+# thread).
+_LONE_MAX = 64
+_EPS = float(np.finfo(float).eps)
 
 
 class GroupTag(Enum):
@@ -130,11 +141,18 @@ def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
     diagonal d and H[j, i] == conj(H[i, j]).  So the determinant is
     d_i d_j - |h_ij|^2, the four entries are d_i, d_j, h_ij and its
     conjugate, and each term below is rounded as complex arithmetic on the
-    four entries rounds it.
+    four entries rounds it.  From scale 2^511 on, d_i d_j and |h_ij|^2
+    would overflow, so there they are formed on H times 2^-600, a power of
+    two as in spectral.spectrum: exact but for entries below 2^-422, whose
+    products lie far under the cut.
     """
     cut = tol * scale
     d, x, y = H.diagonal().real, H.real, H.imag
-    flat = ~(np.abs(np.multiply.outer(d, d) - (x * x + y * y)) > tol * scale * scale)
+    if scale < 2.0**511:
+        flat = ~(np.abs(np.multiply.outer(d, d) - (x * x + y * y)) > tol * scale * scale)
+    else:
+        ds, xs, ys, ss = d * 2.0**-600, x * 2.0**-600, y * 2.0**-600, scale * 2.0**-600
+        flat = ~(np.abs(np.multiply.outer(ds, ds) - (xs * xs + ys * ys)) > tol * ss * ss)
     if group is GroupTag.TRIVIAL:
         spread = np.maximum(
             np.maximum(np.hypot(d[:, None] - x, y), np.hypot(d - x, y)),
@@ -167,12 +185,108 @@ def _sub(H, rows, cols):
     return H.take(rows, 0).take(cols, 1)
 
 
-def _verified_split(H, comp, related, group: GroupTag, tol: float, scale: float):
-    # a single index always verifies
-    if len(comp) == 1 or _block_ok(_sub(H, comp, comp), group, tol, scale):
-        return [comp]
-    # tolerance chaining can merge indices that fail jointly; regroup greedily,
-    # admitting an index only when the enlarged block verifies as a whole
+def _blocks_ok(H, rows, cols, group: GroupTag, tol: float, scale: float):
+    """Iterator of _block_ok(_sub(H, r, c), group, tol, scale) over the
+    segments (r, c) of the lists rows and cols, for an exactly Hermitian
+    complex H (as spectral.hermitian_part returns it).
+
+    All segments are decided in one fixed set of numpy passes over their
+    gathered entries, reduced segment by segment with reduceat; _block_ok
+    runs, lazily and in order, only on a segment those passes leave open.
+    A lone segment of at most _LONE_MAX entries goes to _block_ok directly:
+    one small SVD costs less than the fixed cost of the passes.
+    The orbit test is _single_orbit's, bit for bit: per segment the largest
+    |b - b_00|, the spread of the moduli or the entries above the cut.  Under
+    the trivial group a segment whose largest distance lies between half the
+    cut and the cut is left open.
+
+    Rank at most one is certified with no SVD.  For the m x n block B of a
+    segment, m, n >= 2, take q = fl(B[0, :] / B[0, 0]), R = fl(B[:, 0] q)
+    and E = fl(B - R), and accept when nu_E + 4 u nu_R <= tol * scale / 4,
+    where nu is a computed Frobenius norm and u = eps / 2.  This is tried
+    only when tol >= K N^2 eps, K = spectral.CERTIFY_GUARD and N the order
+    of H, and tol * scale >= N 2^-530.  A NaN or an infinity, from
+    B[0, 0] = 0 or an overflow, fails the test and leaves the SVD to decide.
+
+    The certificate accepts only what _block_ok accepts.  Write ||.|| for
+    the Frobenius norm, k = m n <= N^2 and lambda = 2^-1074, the subnormal
+    spacing, and take N below 10^6, as for spectral.psd_verdict.
+
+    - X = B[:, 0] q is exactly rank one, however q was rounded, so
+      sigma_2(B) <= ||B - X||_2 <= ||B - R|| + ||R - X|| (Eckart-Young-Mirsky).
+    - Each entry of R is one complex product of two floats:
+      |R - X| <= sqrt(2) gamma_2 |X| + 2 lambda entrywise (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, 2nd ed., Lemma 3.5, with
+      gradual underflow), so ||R - X|| <= 3 u ||R|| + 3 sqrt(k) lambda.
+    - E rounds each real difference once, so ||B - R|| <= ||E|| / (1 - u).
+    - A computed norm nu of k complex entries (2k squares summed in any
+      order, then one square root) bounds the exact one by
+      (nu / (1 - u) + sqrt(k lambda)) / sqrt(1 - gamma_2k) (Higham, ch. 3;
+      a square loses at most lambda / 2 to underflow).
+    - Together: sigma_2(B) <= 1.01 (nu_E + 4 u nu_R) + 2 N sqrt(lambda)
+      <= 1.01 tol scale / 4 + tol scale / 64 <= 0.27 tol scale.
+    - Finite sums of squares put every entry of B below 2^513, so the SVD
+      does not overflow and spectrum keeps f = 1.  Its values s are exact
+      for B + F with ||F||_2 <= c N^2 u ||B||_2, c = 16, the convention of
+      psd_verdict (LAPACK Users' Guide, sec. 4.9).  The guard makes
+      c N^2 u <= tol / 8, and ||B||_2 <= s[0] + ||F||_2, so
+      ||F||_2 <= tol s[0] / 7.
+    - By Weyl, s[1] <= sigma_2(B) + ||F||_2 <= 0.27 tol scale + tol s[0] / 7.
+      That is below fl(tol scale) when s[0] <= scale and below
+      (1 - u) tol s[0] otherwise, so below fl(tol * max(scale, s[0])):
+      _block_ok's test passes.
+    """
+    if not rows:
+        return iter(())
+    if len(rows) == 1 and len(rows[0]) * len(cols[0]) <= _LONE_MAX:
+        return iter([_block_ok(_sub(H, rows[0], cols[0]), group, tol, scale)])
+    N, S = H.shape[0], len(rows)
+    cut = tol * scale
+    m = np.fromiter(map(len, rows), np.intp, S)
+    n = np.fromiter(map(len, cols), np.intp, S)
+    with np.errstate(all="ignore"):
+        # flat positions of each entry: its segment's B[0, 0], its row's
+        # B[a, 0], and its column b within the segment
+        size = m * n
+        start = size.cumsum() - size
+        width = n.repeat(m)
+        head = (width.cumsum() - width).repeat(width)
+        first = start.repeat(size)
+        b = np.arange(head.size) - head
+        I = np.fromiter(chain.from_iterable(rows), np.intp).repeat(width)
+        J = np.fromiter(chain.from_iterable(cols), np.intp)[(n.cumsum() - n).repeat(size) + b]
+        B = H[I, J]
+        pivot = B[first]
+        if group is GroupTag.TRIVIAL:
+            far = np.maximum.reduceat(_modulus(B - pivot), start)
+            no = far > cut
+            yes = 2.0 * far <= cut * (1.0 - _ORBIT_MARGIN)
+        else:
+            mods = _modulus(B)
+            if group is GroupTag.UNIT_CIRCLE:
+                yes = np.maximum.reduceat(mods, start) - np.minimum.reduceat(mods, start) <= cut
+            else:  # GroupTag.NONZERO_COMPLEX: all entries above the cut or none
+                big = mods > cut
+                yes = np.minimum.reduceat(big, start) | ~np.maximum.reduceat(big, start)
+            no = ~yes
+        rank_ok = np.minimum(m, n) < 2
+        if tol >= spectral.CERTIFY_GUARD * N * N * _EPS and cut >= N * 2.0**-530:
+            Z = np.empty((2, B.size), dtype=complex)  # rows E and R
+            np.multiply(B[head], B[first + b] / pivot, out=Z[1])
+            np.subtract(B, Z[1], out=Z[0])
+            nu_E, nu_R = np.sqrt(np.add.reduceat(np.square(Z.view(float)), 2 * start, axis=1))
+            rank_ok |= nu_E + 2.0 * _EPS * nu_R <= cut / 4  # 4 u = 2 eps
+        yes &= rank_ok
+    return (
+        t or (not f and _block_ok(_sub(H, r, c), group, tol, scale))
+        for r, c, t, f in zip(rows, cols, yes.tolist(), no.tolist())
+    )
+
+
+def _regroup(H, comp, related, group: GroupTag, tol: float, scale: float):
+    """Tolerance chaining can merge indices that fail jointly: split the
+    component greedily, admitting an index only when the enlarged block
+    verifies as a whole."""
     groups: list[list[int]] = []
     for i in comp:
         for g in groups:
@@ -203,9 +317,12 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     eigen-solve below it or when that fails; neither, and no stratification
     when one under the same group and tol is kept, if A was the last matrix
     validated: see ``spectral``); the pair relation as a few elementwise
-    passes over N x N arrays; per component, an orbit test
-    linear in its b^2 entries (all pairs only when their spread lies between
-    half the cut and the cut) and one SVD of the b x b block.
+    passes over N x N arrays; for all components of two or more indices
+    together, a fixed number of passes over their sum of b^2 entries that
+    decide the orbit and rank tests.  Per component only what those leave
+    open costs more: all pairs of entries when their spread lies between half
+    the cut and the cut, and one SVD of the b x b block when the rank-one
+    certificate fails (always for a component that does not verify).
     """
     _require_group(group)
     return _stratify(spectral.require_psd(A, tol), group, tol)
@@ -234,10 +351,12 @@ def _partition(H, group: GroupTag, tol: float) -> IndexPartition:
     components: dict[int, list[int]] = {}
     for i, root in enumerate(label.tolist()):
         components.setdefault(root, []).append(i)
-    blocks: list[tuple[int, ...]] = []
-    for comp in components.values():
-        for part in _verified_split(H, comp, related, group, tol, scale):
-            blocks.append(tuple(part))
+    # a single index always verifies; the other components are decided together
+    blocks = [tuple(c) for c in components.values() if len(c) == 1]
+    comps = [c for c in components.values() if len(c) > 1]
+    for comp, ok in zip(comps, _blocks_ok(H, comps, comps, group, tol, scale)):
+        parts = [comp] if ok else _regroup(H, comp, related, group, tol, scale)
+        blocks.extend(map(tuple, parts))
     return IndexPartition(tuple(blocks))
 
 
@@ -252,11 +371,8 @@ def verify_offdiagonal_structure(
     scale = float(np.max(np.abs(H)))
     if scale == 0.0:
         return True
-    return all(
-        _block_ok(_sub(H, bi, bj), group, tol, scale)
-        for a, bi in enumerate(pi.blocks)
-        for bj in pi.blocks[a + 1 :]
-    )
+    pairs = list(combinations(pi.blocks, 2))
+    return all(_blocks_ok(H, [bi for bi, _ in pairs], [bj for _, bj in pairs], group, tol, scale))
 
 
 @dataclass
@@ -280,7 +396,7 @@ def simultaneous_kernel(A, tol: float = 1e-9) -> SubspaceBasis:
     peak = np.max(np.abs(H))
     if peak > 0:
         H = H / peak
-    total = h_matrix((1.0,) * N, H)
+    total = _h_hermitian((1.0,) * N, H)
     w, V = np.linalg.eigh(spectral.hermitian_part(total))
     basis = V[:, spectral.kernel_mask(w, tol)]
     return SubspaceBasis(basis.shape[1], basis)
@@ -315,6 +431,8 @@ def subspace_max_angle(B1: np.ndarray, B2: np.ndarray) -> float:
         raise ValueError("subspace dimensions differ")
     if B1.shape[1] == 0:
         return 0.0
+    import scipy.linalg  # here, so that importing the package leaves scipy unloaded
+
     angles = scipy.linalg.subspace_angles(B1, B2)
     return float(np.max(angles)) if angles.size else 0.0
 

@@ -1,6 +1,9 @@
 """CLI behaviour: report content, reproducibility, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -402,3 +405,13 @@ def test_unusable_tol_exit_3(capsys, command, tol):
 def test_zero_tol_is_valid(capsys, command):
     code, out, _ = run(capsys, *TOL_COMMANDS[command], "--tol=0")
     assert code == 0 and out
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the two routines that use it, when they run: a
+    # cold CLI call that needs neither does not pay for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, entrywise, entrywise.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

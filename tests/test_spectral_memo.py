@@ -2,8 +2,8 @@
 
 ``spectral.psd_verdict`` keeps its last decided input (tol, shape, layout and
 the bytes of its complex form) with the read-only Hermitian part, the verdict
-and the values derived from it (``spectral.derived``: h_c[A] for the two
-Rayleigh routes, the stratifications).  Every result must be the same, by
+and the values derived from it (``spectral.derived``: h_c[A] and A^(oM) for
+the two Rayleigh routes, the stratifications).  Every result must be the same, by
 bytes or repr, as with the memo emptied before each validation; the memo
 must hold one entry, miss on any other tol, shape, layout or content, and
 never let a caller write the arrays it shares.
@@ -16,6 +16,7 @@ import pytest
 
 from entrywise import psd, spectral, strata
 from entrywise.cli import main
+from entrywise.hadamard import h_matrix, hadamard_power
 from entrywise.psd import psd_check, rayleigh_constant, rayleigh_variational
 from entrywise.strata import (
     GroupTag,
@@ -156,9 +157,10 @@ A3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
 def test_chain_validates_builds_h_and_stratifies_once(monkeypatch):
     A = _stratum_matrix(24, GroupTag.TRIVIAL, 0)
     count = _Count(monkeypatch)
-    built, partitions = [], []
-    h_matrix, partition = psd.h_matrix, strata._partition
-    monkeypatch.setattr(psd, "h_matrix", lambda cs, X: built.append(1) or h_matrix(cs, X))
+    built, powers, partitions = [], [], []
+    h_hermitian, power, partition = psd._h_hermitian, psd.hadamard_power, strata._partition
+    monkeypatch.setattr(psd, "_h_hermitian", lambda cs, X: built.append(1) or h_hermitian(cs, X))
+    monkeypatch.setattr(psd, "hadamard_power", lambda X, M: powers.append(M) or power(X, M))
     monkeypatch.setattr(
         strata, "_partition", lambda H, g, tol: partitions.append(g) or partition(H, g, tol)
     )
@@ -167,7 +169,9 @@ def test_chain_validates_builds_h_and_stratifies_once(monkeypatch):
     # A once; h_c[A] is exactly Hermitian and goes into its root unchecked
     assert count.hermitian == 1
     assert len(built) == 2  # one h_c[A] per coefficient vector
+    assert powers == [25]  # one A^(o25) for the four Rayleigh calls
     assert partitions == [GroupTag.TRIVIAL]
+    assert sorted(spectral._memo[3]) == ["h", "power", "stratify"]  # one value per kind
 
 
 def test_repeat_call_needs_no_validation(monkeypatch):
@@ -218,7 +222,7 @@ def test_shared_arrays_are_read_only():
     for X in (H, h):
         with pytest.raises(ValueError, match="read-only"):
             X[0, 0] = 0.0
-    assert np.array_equal(h, np.asarray(psd.h_matrix((1.0, 2.0, 3.0), spectral.hermitian_part(A3))))
+    assert np.array_equal(h, h_matrix((1.0, 2.0, 3.0), spectral.hermitian_part(A3)))
 
 
 def test_derived_keeps_values_of_the_memo_matrix_only():
@@ -263,19 +267,22 @@ def test_errors_repeat(monkeypatch):
 
 
 def test_one_derived_value_per_kind():
-    # the memo keeps one h_c[A] and one stratification, not one per coefficient vector
+    # the memo keeps one h_c[A], one A^(oM) and one stratification, not one per
+    # coefficient vector
     A = _stratum_matrix(24, GroupTag.TRIVIAL, 1)
     rng = np.random.default_rng(7)
     vectors = [tuple(float(x) for x in rng.uniform(0.5, 2.0, 24)) for _ in range(50)]
     for c in vectors:
         rayleigh_variational(c, 25, A)
     kept = spectral._memo[3]
-    assert len(kept) <= 2
-    (h_key, h), (pi_key, pi) = kept["h"], kept["stratify"]
+    assert sorted(kept) == ["h", "power", "stratify"]
+    (h_key, h), (power_key, AM), (pi_key, pi) = kept["h"], kept["power"], kept["stratify"]
     spectral.clear_memo()
     H = spectral.require_psd(A, 1e-9)
     assert h_key == ("h", tuple(complex(x) for x in vectors[-1]))
-    assert h.tobytes() == psd.h_matrix(vectors[-1], H).tobytes()
+    assert h.tobytes() == h_matrix(vectors[-1], H).tobytes()
+    assert power_key == ("power", 25)
+    assert AM.tobytes() == hadamard_power(H, 25).tobytes()
     assert pi_key == ("stratify", GroupTag.TRIVIAL, 1e-9)
     assert pi == strata._partition(H, GroupTag.TRIVIAL, 1e-9)
 

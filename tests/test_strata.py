@@ -1,5 +1,7 @@
 """Orbit stratification, simultaneous kernels, and stratum closures."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -248,3 +250,20 @@ def test_verify_offdiagonal_structure_rejects_unknown_group(pi):
     # a single-block partition has no off-diagonal block for the orbit test to reject the group
     with pytest.raises(ValueError, match="unknown group 'trivial'"):
         verify_offdiagonal_structure(np.eye(2), pi, "trivial")
+
+
+@pytest.mark.parametrize("N", [2, 3, 24])
+@pytest.mark.parametrize("value", [1e308, 1e200])
+def test_huge_entries_stratify_without_warnings(N, value):
+    # d_i d_j - |h_ij|^2 overflows from about 1.3e154; the pair relation forms
+    # it on an exactly scaled copy, and the block kernel declines what
+    # overflows there and leaves it to the rescaled SVD, with no warning
+    A = np.full((N, N), value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for group in GroupTag:
+            pi = stratify(A, group)
+            assert pi == single_block_partition(N)
+            for p in (pi, singleton_partition(N)):
+                assert verify_offdiagonal_structure(A, p, group)
+

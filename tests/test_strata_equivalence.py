@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from entrywise import spectral, strata
+from entrywise import hadamard, spectral, strata
 from entrywise.strata import (
     GroupTag,
     IndexPartition,
@@ -335,3 +335,176 @@ def test_chains_take_the_regroup_path():
                 reach = (reach.astype(int) @ reach.astype(int)) > 0
             assert reach.all(), name
             assert len(stratify(A, GroupTag.TRIVIAL).blocks) > 1, name
+
+
+# --- the block kernel -------------------------------------------------------------
+
+
+def _zero_pivot_matrices():
+    """u u* with zero coordinates first, so that blocks and off-diagonal
+    blocks start with a zero entry, and a stratum matrix with a zero row."""
+    out = []
+    for name, u in (("zero-first", [0.0, 0.0, 1.0, 1.0, 2.0]), ("zero-mid", [1.0, 0.0, 1.0, 0.0])):
+        out.append((f"zero-pivot-{name}", np.outer(u, u).astype(complex)))
+    A = generate_in_stratum(_consecutive((2, 3, 2)), GroupTag.UNIT_CIRCLE, seed=5)
+    A[0, :] = A[:, 0] = 0.0
+    out.append(("zero-pivot-row", A / np.max(np.abs(A))))
+    return out
+
+
+def _huge_matrices():
+    """Entries near and beyond the square root of the float range."""
+    A = generate_in_stratum(_consecutive((2, 3, 1, 4)), GroupTag.TRIVIAL, seed=3)
+    A = A / np.max(np.abs(A))
+    return [
+        ("huge-1e200", 1e200 * A),
+        ("huge-1e308", 1e308 * A),
+        ("huge-all-1e308", np.full((4, 4), 1e308)),
+        ("huge-all-1e200", np.full((4, 4), 1e200)),
+    ]
+
+
+KERNEL_CASES = CASES + _zero_pivot_matrices() + _huge_matrices()
+
+
+def _segments(pi):
+    """The segments the kernel gets for pi: its blocks of two or more
+    indices on the diagonal, then every pair of blocks a < b."""
+    rows = [b for b in pi.blocks if len(b) > 1]
+    cols = list(rows)
+    for a, bi in enumerate(pi.blocks):
+        for bj in pi.blocks[a + 1 :]:
+            rows.append(bi)
+            cols.append(bj)
+    return rows, cols
+
+
+def _kernel_partitions(H, rng):
+    N = H.shape[0]
+    out = {singleton_partition(N), single_block_partition(N), _random_partition(N, rng)}
+    out.update(strata._partition(H, g, TOL) for g in GROUPS)
+    return sorted(out, key=lambda p: p.blocks)
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-14], ids=["tol-1e-9", "below-guard"])
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
+def test_block_kernel_matches_block_ok(group, tol):
+    """Per segment, the kernel returns _block_ok's boolean: on every case,
+    for the stratifications under every group, the two extreme partitions
+    and a random one.  At tol = 1e-14 the rank guard (tol >= 64 N^2 eps)
+    fails at every N, so the SVD decides every rank there."""
+    rng = np.random.default_rng(17)
+    for name, A in KERNEL_CASES:
+        try:
+            H = spectral.require_psd(A, TOL)
+        except ValueError:
+            continue
+        scale = float(np.max(np.abs(H)))
+        if scale == 0.0:
+            continue
+        for pi in _kernel_partitions(H, rng):
+            rows, cols = _segments(pi)
+            want = [strata._block_ok(strata._sub(H, r, c), group, tol, scale) for r, c in zip(rows, cols)]
+            assert list(strata._blocks_ok(H, rows, cols, group, tol, scale)) == want, (name, pi)
+
+
+def test_block_kernel_leaves_open_what_it_cannot_certify(monkeypatch):
+    """The fallback runs on an orbit spread in the band between half the
+    cut and the cut, on sums of squares that overflow, on a zero pivot and
+    on a block of higher rank whose entries pass the orbit test, which only
+    the SVD can reject."""
+    opened = []
+    block_ok = strata._block_ok
+    monkeypatch.setattr(
+        strata, "_block_ok", lambda sub, *args: opened.append(sub.shape) or block_ok(sub, *args)
+    )
+
+    def run(name, group):
+        # the whole matrix as a block, twice, so that no lone block bypasses the passes
+        A = dict(KERNEL_CASES)[name]
+        H = spectral.require_psd(A, TOL)
+        scale = float(np.max(np.abs(H)))
+        rows = cols = 2 * [tuple(range(H.shape[0]))]
+        opened.clear()
+        list(strata._blocks_ok(H, rows, cols, group, TOL, scale))
+        return len(opened) // 2
+
+    for spread in (0.95, 1.05):
+        assert run(f"band-{spread}-N12", GroupTag.TRIVIAL) == 1
+        assert run(f"band-{spread}-N12", GroupTag.UNIT_CIRCLE) == 0
+    for group in GROUPS:
+        assert run("huge-all-1e308", group) == 1
+        assert run("huge-all-1e200", group) == 1
+        for N in EIGHT_BLOCKS:  # one block of rank eight: orbit or SVD rejects it
+            assert run(f"eight-blocks-{group.value}-N{N}", group) == (group is GroupTag.NONZERO_COMPLEX)
+    # a zero pivot on a block whose entries all lie under the cut
+    H = spectral.require_psd(np.diag([0.0, 0.0, 1.0]), TOL)
+    opened.clear()
+    rows, cols = [(0, 1), (0, 1)], [(0, 1), (2,)]
+    assert list(strata._blocks_ok(H, rows, cols, GroupTag.NONZERO_COMPLEX, TOL, 1.0)) == [True, True]
+    assert opened == [(2, 2)]
+    # a lone small block goes to _block_ok directly
+    opened.clear()
+    assert list(strata._blocks_ok(H, [(0, 2)], [(0, 2)], GroupTag.TRIVIAL, TOL, 1.0)) == [False]
+    assert opened == [(2, 2)]
+
+
+@pytest.mark.parametrize("m", [2, 6, 20])
+def test_block_kernel_agrees_with_svd_near_the_cut(m):
+    """Off-diagonal m x m blocks e^(i(a_j + b_k + d_jk)) of an exactly
+    Hermitian H: all of modulus one, so one orbit under the unit circle and
+    C^x, with sigma_2 about |d| swept across the SVD's cut tol * m.  A looser
+    certificate would accept blocks that the SVD rejects."""
+    rng = np.random.default_rng(m)
+    a, b = rng.uniform(0, 2 * np.pi, m), rng.uniform(0, 2 * np.pi, m)
+    seen = set()
+    for size in 10.0 ** np.linspace(-12, -6, 25):
+        d = rng.uniform(-size, size, (m, m))
+        X = np.exp(1j * (a[:, None] + b + d))
+        H = spectral.hermitian_part(np.block([[np.ones((m, m)), X], [X.conj().T, np.ones((m, m))]]))
+        rows, cols = 2 * [tuple(range(m))], 2 * [tuple(range(m, 2 * m))]  # not a lone block
+        for group in (GroupTag.UNIT_CIRCLE, GroupTag.NONZERO_COMPLEX):
+            want = strata._block_ok(strata._sub(H, rows[0], cols[0]), group, TOL, 1.0)
+            assert list(strata._blocks_ok(H, rows, cols, group, TOL, 1.0)) == [want, want], size
+            seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
+def test_block_kernel_needs_no_svd_in_stratum(monkeypatch, group):
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for N, sizes in EIGHT_BLOCKS.items():
+        A = dict(CASES)[f"eight-blocks-{group.value}-N{N}"]
+        spectral.clear_memo()
+        pi = stratify(A, group)
+        assert pi == _consecutive(sizes)
+        assert verify_offdiagonal_structure(A, pi, group)
+    assert calls == []
+
+
+def _h_inputs():
+    rng = np.random.default_rng(3)
+    out = []
+    for name, A in CASES:
+        if name.startswith("eight-blocks") or name in ("unscaled", "wishart-graded", "noisy-0"):
+            H = spectral.hermitian_part(np.asarray(A, dtype=complex))
+            out.append((name, H))
+            out.append((f"{name}/peak", H / np.max(np.abs(H))))
+    for z in (2.0, 0.0, -0.0):
+        out.append((f"N1-{z}", spectral.hermitian_part(np.array([[z]], dtype=complex))))
+    out.append(("zeros-N3", spectral.hermitian_part(np.zeros((3, 3), dtype=complex))))
+    return [(name, H, tuple(rng.uniform(0.5, 2.0, H.shape[0]))) for name, H in out]
+
+
+H_INPUTS = _h_inputs()
+
+
+@pytest.mark.parametrize("name,H,c", H_INPUTS, ids=[name for name, _, _ in H_INPUTS])
+def test_h_from_one_triangle_is_bit_identical(name, H, c):
+    got = hadamard._h_hermitian(c, H)
+    want = hadamard.entrywise_poly(dict(enumerate(c)), H)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    ones = (1.0,) * H.shape[0]  # the coefficients of simultaneous_kernel
+    assert hadamard._h_hermitian(ones, H).tobytes() == hadamard.h_matrix(ones, H).tobytes()
