@@ -63,9 +63,12 @@ def near_corner_path(N: int, root: float, deltas) -> np.ndarray:
     With root = sqrt(rho) the coordinates are pairwise distinct for delta > 0
     and approach the corner sqrt(rho)*(1,..,1) as delta -> 0: the rank-one
     path along which the threshold constants are sharp.  Callers pass the
-    root so that each keeps its own rounding of sqrt(rho).
+    root so that each keeps its own rounding of sqrt(rho).  One array
+    expression does the scalar formula's operations in its order (delta k,
+    then / N, then 1 -, then root *), so each entry has the scalar formula's
+    bits; the result has shape (len(deltas), N), empty deltas included.
     """
-    return np.array([[root * (1.0 - delta * k / N) for k in range(1, N + 1)] for delta in deltas])
+    return root * (1.0 - np.asarray(deltas, dtype=float)[:, None] * np.arange(1, N + 1) / N)
 
 
 def _outer_rows(U: np.ndarray) -> np.ndarray:
@@ -104,10 +107,18 @@ def psd_disc_batches(
     (complex Wishart rescaled into the disc, real rank-one from the open cube
     (0, sqrt(rho))^N, complex correlation matrix times rho).  A random block
     holds one complex stack (the Wishart and correlation draws, in position
-    order) and one real stack (the cube draws).  The generator consumes the
-    same random stream as drawing the samples one at a time: each run of
-    consecutive Gaussian positions is one ``standard_normal`` call, which
-    fills its output in the order of the one-at-a-time calls.
+    order) and one real stack (the cube draws).
+
+    The generator consumes the same random stream as drawing the samples one
+    at a time.  Each block's draws go straight into two preallocated arrays,
+    walking the positions in order: a cube position is one ``random`` call
+    into its row of ``cube``, repeated while the row holds a zero, and each
+    run of consecutive Gaussian positions is one ``standard_normal`` call
+    into its slice of ``G``, which fills it in the order of the one-at-a-time
+    calls.  The cube rows are then ``root * cube``: bit for bit
+    ``uniform(0, root)``, which computes ``0.0 + root * d``, and a row holds
+    a zero exactly when ``root * d`` does (root >= sqrt(5e-324) and a
+    nonzero d >= 2^-53, so their product never underflows to zero).
     """
     rho = _disc_radius(N, rho)
     root = np.sqrt(rho)
@@ -118,26 +129,28 @@ def psd_disc_batches(
     while start < count:
         stop = min(count, start + SAMPLE_BATCH)
         positions = np.arange(start, stop)
-        draws, cube = [], []
-        p = start
-        while p < stop:
-            if p % 3 == 1:
-                u = rng.uniform(0.0, root, size=N)
-                while not u.all():
-                    u = rng.uniform(0.0, root, size=N)
-                cube.append(u)
-                p += 1
-            else:
-                # a correlation position and the Wishart one after it
-                run = min(stop - p, 2 if p % 3 == 2 else 1)
-                draws.append(rng.standard_normal((run, 2, N, N)))
-                p += run
+        on_cube = positions % 3 == 1
+        cube = np.empty((int(on_cube.sum()), N))
+        G = np.empty((len(positions) - len(cube), 2, N, N))
+        # before the first cube position: the Wishart position of a block
+        # that starts at 0 mod 3, or the correlation-Wishart pair of one
+        # that starts at 2; after each cube position, the next pair
+        g = min(len(G), (1 - start) % 3)
+        if g:
+            rng.standard_normal(out=G[:g])
+        for row in cube:
+            rng.random(out=row)
+            while 0.0 in row.tolist():
+                rng.random(out=row)
+            run = min(2, len(G) - g)
+            if run:
+                rng.standard_normal(out=G[g : g + run])
+                g += run
         block = []
-        if draws:
-            G = np.concatenate(draws)
+        if len(G):
             B = G[:, 0] + 1j * G[:, 1]
             A = B @ B.conj().swapaxes(1, 2)
-            gaussian = positions[positions % 3 != 1]
+            gaussian = positions[~on_cube]
             wishart = gaussian % 3 == 0
             W = A[wishart]
             A[wishart] = W * (rho / np.max(np.abs(W), axis=(1, 2)))[:, None, None]
@@ -145,8 +158,8 @@ def psd_disc_batches(
             d = np.sqrt(np.real(np.diagonal(C, axis1=1, axis2=2)))
             A[~wishart] = rho * (C / _outer_rows(d))
             block.append((gaussian, A))
-        if cube:
-            block.append((positions[positions % 3 == 1], _outer_rows(np.array(cube))))
+        if len(cube):
+            block.append((positions[on_cube], _outer_rows(root * cube)))
         yield block
         start = stop
 

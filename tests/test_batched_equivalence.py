@@ -10,9 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entrywise.hadamard import entrywise_poly
-from entrywise.samplers import SAMPLE_BATCH, psd_disc_samples
+from entrywise.samplers import SAMPLE_BATCH, near_corner_path, psd_disc_samples
 from entrywise.threshold import (
     horn_necessity_witness,
     preserves_positivity_check,
@@ -242,3 +244,68 @@ def test_horn_witness_found_in_random_phase():
     want = reference_horn(f, 2, 0.25, 2000, seed=156)
     assert want is not None and reference_horn(f, 2, 0.25, 100, seed=156) is None
     assert np.array_equal(horn_necessity_witness(f, 2, 0.25, 2000, seed=156), want)
+
+
+class ScriptedRng:
+    """np.random.default_rng(seed), except that the cube rows of the chosen
+    calls (counted over uniform and random calls, from 0) come back with a
+    0.0 in one column: a draw the open cube rejects, which no seed gives."""
+
+    def __init__(self, seed, zero_calls, column):
+        self.inner = np.random.default_rng(seed)
+        self.zero_calls = set(zero_calls)
+        self.column = column
+        self.cube_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def _script(self, row):
+        if self.cube_calls in self.zero_calls:
+            row[self.column] = 0.0
+        self.cube_calls += 1
+        return row
+
+    def uniform(self, low, high, size):
+        return self._script(self.inner.uniform(low, high, size))
+
+    def random(self, out):
+        self.inner.random(out=out)
+        return self._script(out)
+
+
+@pytest.mark.parametrize("N", (1, 2, 3))
+@pytest.mark.parametrize(
+    "zero_calls, count",
+    [((0,), 14), ((2, 3), 30), ((1, 2, 3), 31), ((0, 5, 6), SAMPLE_BATCH + 40)],
+)
+def test_psd_disc_samples_redraw_a_cube_row_with_a_zero(N, zero_calls, count):
+    # the same samples as the reference, after as many cube rows and with the
+    # same generator state: the redraws included
+    want_rng, got_rng = (ScriptedRng(N + count, zero_calls, N - 1) for _ in range(2))
+    want = reference_samples(N, 0.75, count, want_rng)
+    got = list(psd_disc_samples(N, 0.75, count, got_rng))
+    assert len(got) == len(want) == count
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    assert got_rng.cube_calls == want_rng.cube_calls > max(zero_calls) + 1
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _near_corner_rows(N, root, deltas):
+    """near_corner_path one scalar at a time, the formula's reference."""
+    return np.array([[root * (1.0 - delta * k / N) for k in range(1, N + 1)] for delta in deltas])
+
+
+@given(
+    st.integers(1, 12),
+    st.floats(1e-160, 1e150),
+    st.booleans(),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_near_corner_path_matches_the_scalar_formula(N, root, numpy_root, deltas):
+    if numpy_root:
+        root = np.float64(root)
+    want = _near_corner_rows(N, root, deltas)
+    got = near_corner_path(N, root, deltas)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

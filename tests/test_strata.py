@@ -267,3 +267,26 @@ def test_huge_entries_stratify_without_warnings(N, value):
             for p in (pi, singleton_partition(N)):
                 assert verify_offdiagonal_structure(A, p, group)
 
+
+
+@pytest.mark.parametrize(
+    "A, trivial, rotated",
+    [
+        (np.array([[1e308, -1e308], [-1e308, 1e308]]), ((0,), (1,)), ((0, 1),)),
+        (np.array([[1e308, 1e308j], [-1e308j, 1e308]]), ((0,), (1,)), ((0, 1),)),
+        (
+            np.array([[1e308, 1e308, -1e308], [1e308, 1e308, -1e308], [-1e308, -1e308, 1e308]]),
+            ((0, 1), (2,)),
+            ((0, 1, 2),),
+        ),
+    ],
+)
+def test_opposite_huge_entries_stratify_without_warnings(A, trivial, rotated):
+    # d_i - h_ij and 2 |h_ij| overflow to inf in the trivial-group spread,
+    # which exceeds the cut as the exact spread does: same partition, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for group in GroupTag:
+            pi = stratify(A, group)
+            assert pi.blocks == (trivial if group is GroupTag.TRIVIAL else rotated)
+            assert verify_offdiagonal_structure(A, pi, group)

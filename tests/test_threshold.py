@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entrywise.hadamard import coefficients
 from entrywise.samplers import near_corner_path, psd_disc_samples
@@ -429,3 +431,37 @@ def test_coefficient_tuple_iterates_over_c():
     assert tuple(ct) == (ONE, Fraction(1, 2))
     assert empirical_sharpness(ct, 3, 2, 1, 10) == empirical_sharpness(tuple(ct), 3, 2, 1, 10)
     assert partial_constants(ct, 3, 2, 1) == partial_constants(tuple(ct), 3, 2, 1)
+
+
+def _dispatch_constant(c, M, N, rho):
+    """threshold_constant as the formula reads, each term divided by c_j in
+    the arithmetic of its operands (Fraction's own division for a Fraction);
+    exact input is summed in Fractions."""
+    from entrywise.partitions import hook_dimension
+
+    if isinstance(rho, (int, Fraction)) and all(isinstance(x, (int, Fraction)) for x in c):
+        rho = Fraction(rho)
+    if M < N:
+        return rho**0 / c[M]
+    return sum(hook_dimension(M, N, j) ** 2 * rho ** (M - j) / c[j] for j in range(N))
+
+
+_RHOS = st.sampled_from(
+    [0.25, 1.0, 1.75, 3.0, 1e-3, np.float64(0.75), np.float64(2.5)]
+    + [1, 3, Fraction(1, 4), Fraction(7, 3)]
+)
+_COEFFICIENTS = st.one_of(
+    st.integers(1, 9),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+    st.floats(0.05, 9.0),
+)
+
+
+@settings(max_examples=300)
+@given(_RHOS, st.lists(_COEFFICIENTS, min_size=1, max_size=4), st.integers(0, 8))
+@example(3, [Fraction(7, 6), 0.7], 2)  # an int rho sums an exact Fraction term, then floats
+@example(np.float64(0.75), [Fraction(7, 6), 2, 0.7], 3)
+def test_threshold_constant_matches_the_dispatch_formula(rho, c, M):
+    want = _dispatch_constant(c, M, len(c), rho)
+    got = threshold_constant(c, M, len(c), rho)
+    assert got == want and type(got) is type(want)
