@@ -154,10 +154,12 @@ def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
         ds, xs, ys, ss = d * 2.0**-600, x * 2.0**-600, y * 2.0**-600, scale * 2.0**-600
         flat = ~(np.abs(np.multiply.outer(ds, ds) - (xs * xs + ys * ys)) > tol * ss * ss)
     if group is GroupTag.TRIVIAL:
-        if scale < 2.0**511:
-            return flat & (_spread(d, x, y) <= cut)
         with np.errstate(over="ignore"):  # an inf spread exceeds the cut, as the exact one does
-            return flat & (_spread(d, x, y) <= cut)
+            spread = np.maximum(
+                np.maximum(np.hypot(d[:, None] - x, y), np.hypot(d - x, y)),
+                np.maximum(np.abs(np.subtract.outer(d, d)), 2.0 * np.abs(y)),
+            )
+        return flat & (spread <= cut)
     m_d, m_h = np.abs(d), np.hypot(x, y)
     if group is GroupTag.UNIT_CIRCLE:
         hi = np.maximum(np.maximum.outer(m_d, m_d), m_h)
@@ -167,15 +169,6 @@ def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
     every = np.logical_and.outer(b_d, b_d) & b_h
     none = ~(np.logical_or.outer(b_d, b_d) | b_h)
     return flat & (every | none)
-
-
-def _spread(d, x, y) -> np.ndarray:
-    """Largest distance between two of the four entries d_i, d_j, h_ij and
-    conj(h_ij), for each pair (i, j) of _related's H."""
-    return np.maximum(
-        np.maximum(np.hypot(d[:, None] - x, y), np.hypot(d - x, y)),
-        np.maximum(np.abs(np.subtract.outer(d, d)), 2.0 * np.abs(y)),
-    )
 
 
 def _block_ok(sub, group: GroupTag, tol: float, scale: float) -> bool:

@@ -60,11 +60,7 @@ def threshold_constant(c, M: int, N: int, rho):
     the constant is exactly 1/c_M, the only term of the formula taken with
     generalized binomials.  When rho and every c_j are ints or Fractions the
     value is a Fraction: with rho = p/q, c_j = r_j/s_j and L = lcm(r_j), it is
-    the one integer sum_j h_j^2 p^(M-j) q^j s_j (L/r_j) over q^M L.  Otherwise
-    each term is h_j^2 rho^(M-j) / c_j in the arithmetic of its operands; with
-    a float rho (np.float64 included) a term over a Fraction c_j is
-    float(h_j^2 rho^(M-j)) / float(c_j), the value and the Python float type
-    that Fraction's own division gives, and the terms sum as they come.
+    the one integer sum_j h_j^2 p^(M-j) q^j s_j (L/r_j) over q^M L.
     """
     return _threshold_constant(coefficients(c, N), M, N, rho)
 
@@ -79,13 +75,7 @@ def _threshold_constant(cs: tuple, M: int, N: int, rho):
         # rho**0 is a 1 of rho's type, as in the formula's j = M term
         return (Fraction(1) if exact else rho**0) / cs[M]
     if not exact:
-        # a float over a Fraction, spelt out: Fraction's division does this, after a dispatch
-        to_float = isinstance(rho, float)
-        total = 0
-        for j, x in enumerate(cs):
-            t = hook_dimension(M, N, j) ** 2 * rho ** (M - j)
-            total += float(t) / float(x) if to_float and isinstance(x, Fraction) else t / x
-        return total
+        return sum(hook_dimension(M, N, j) ** 2 * rho ** (M - j) / cs[j] for j in range(N))
     p, q = rho.numerator, rho.denominator
     L = lcm(*(x.numerator for x in cs))
     total = sum(
@@ -295,7 +285,10 @@ def _loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
         pairs = [(j, k) for j in range(N) for k in range(j + 1, N)]
         if not any(all(abs(row[j] - row[k]) > tol * scale for j, k in pairs) for row in A):
             raise ValueError("no row with pairwise distinct entries")
-    return A, [float(x) for x in cs], float(_threshold_constant(cs, M, N, rho))
+    # a float term over a Fraction c_j is float(term) / float(c_j) in Fraction's
+    # own division, so with a float rho the float coefficients give the same constant
+    fcs = [float(x) for x in cs]
+    return A, fcs, float(_threshold_constant(fcs if isinstance(rho, float) else cs, M, N, rho))
 
 
 def lmi_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:

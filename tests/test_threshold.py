@@ -15,6 +15,7 @@ from entrywise.samplers import near_corner_path, psd_disc_samples
 from entrywise.schur import hook_values
 from entrywise.threshold import (
     CoefficientTuple,
+    _loewner_inputs,
     admissible,
     admissible_verdict,
     cross_dim_inequality_check,
@@ -461,7 +462,11 @@ _COEFFICIENTS = st.one_of(
 @given(_RHOS, st.lists(_COEFFICIENTS, min_size=1, max_size=4), st.integers(0, 8))
 @example(3, [Fraction(7, 6), 0.7], 2)  # an int rho sums an exact Fraction term, then floats
 @example(np.float64(0.75), [Fraction(7, 6), 2, 0.7], 3)
-def test_threshold_constant_matches_the_dispatch_formula(rho, c, M):
+def test_loewner_constant_matches_the_dispatch_formula(rho, c, M):
+    # with a float rho the Loewner checks take the constant over float
+    # coefficients; it must be the float of the formula's own value
     want = _dispatch_constant(c, M, len(c), rho)
-    got = threshold_constant(c, M, len(c), rho)
-    assert got == want and type(got) is type(want)
+    assert threshold_constant(c, M, len(c), rho) == want
+    N = len(c)
+    _, _, C = _loewner_inputs(c, M, rho, np.zeros((N, N)), 1e-9, refine=False)
+    assert C == float(want)
