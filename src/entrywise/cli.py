@@ -6,6 +6,10 @@ matrix file, non-PSD input, inconsistent dimensions, a number too large for
 a float, a NaN, infinite or negative --tol).  Reports go to stdout and are
 byte-for-byte reproducible for a fixed seed; runtime and diagnostics go to
 stderr.
+
+``main(argv)`` may also be called in-process, with ``argv`` in place of
+``sys.argv[1:]``.  Each command is parsed once, by its subcommand's parser;
+help and usage errors are argparse's own, unchanged.
 """
 
 from __future__ import annotations
@@ -23,12 +27,7 @@ from . import experiments, psd, strata
 from .backends import Backend
 from .matrixio import load_matrix_file, parse_partition, parse_vector
 from .report import Report
-from .threshold import (
-    admissible_verdict,
-    empirical_sharpness,
-    partial_constants,
-    threshold_constant,
-)
+from .threshold import _verdict, empirical_sharpness, partial_constants, threshold_constant
 
 BACKENDS = {"exact": Backend.EXACT, "float": Backend.FLOAT}
 
@@ -83,8 +82,9 @@ def cmd_threshold(args) -> Report:
     if args.cprime is not None:
         cprime = _number(args.cprime, backend)
         inputs["cprime"] = args.cprime
-        results["admissibility_bound"] = -1 / constant
-        results["verdict"] = admissible_verdict(c, args.M, args.N, rho, cprime)
+        bound = -1 / constant
+        results["admissibility_bound"] = bound
+        results["verdict"] = _verdict(cprime, bound)
     if args.empirical:
         results["empirical_sharpness"] = empirical_sharpness(
             c, args.M, args.N, rho, args.grid
@@ -193,9 +193,14 @@ def cmd_experiment(args) -> Report:
     return Report("experiment", inputs, {"tol": args.tol}, results, witnesses)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built at the first call and shared by every later one."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple:
+    """The top-level parser and its subcommand parsers by name, built once."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=float, default=1e-9)
@@ -261,12 +266,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=sorted(GROUPS), default="trivial")
     p.set_defaults(handler=cmd_experiment)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of one command, parsed once.
+
+    The top-level parser hands every token after a subcommand name on to that
+    subcommand's parser, so a command that starts with one goes to that parser
+    directly; tokens it leaves over are the top-level parser's error, as in
+    ``parse_args``.  Anything else (no token, an unknown subcommand, an option
+    first) goes through the top-level parser.
+    """
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in subparsers:
+        return parser.parse_args(argv)
+    args, extras = subparsers[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     start = time.perf_counter()
     try:
         if not 0 <= args.tol < float("inf"):

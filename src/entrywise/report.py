@@ -24,8 +24,24 @@ def partition_to_text(pi: IndexPartition) -> str:
     return "|".join(",".join(str(i + 1) for i in b) for b in pi.blocks)
 
 
+_LEAVES = frozenset((type(None), bool, int, float, str))
+
+
 def jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    """obj as JSON-ready values: exact scalars as strings, arrays and tuples as lists.
+
+    The exact type of a node picks its rule first; any other type, subclasses
+    such as ``np.float64`` and namedtuples included, takes the first rule of
+    the ``isinstance`` chain that it matches.
+    """
+    kind = type(obj)
+    if kind in _LEAVES:
+        return obj
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, (Fraction, GaussianRational)):
         return str(obj)

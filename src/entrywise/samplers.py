@@ -120,6 +120,8 @@ def psd_disc_batches(
     a zero exactly when ``root * d`` does (root >= sqrt(5e-324) and a
     nonzero d >= 2^-53, so their product never underflows to zero).
     """
+    if count < 0:
+        raise ValueError("count must be non-negative")
     rho = _disc_radius(N, rho)
     root = np.sqrt(rho)
     U = near_corner_path(N, root, NEAR_CORNER_DELTAS)[:count]

@@ -122,8 +122,11 @@ def admissible_verdict(c, M: int, N: int, rho, cprime=None) -> str:
     equality.  Otherwise values of cprime within 1e-12 (relative) of -1/C are
     labeled boundary rather than forced to a side.
     """
-    cprime = _cprime(c, cprime)
-    bound = -1 / threshold_constant(c, M, N, rho)
+    return _verdict(_cprime(c, cprime), -1 / threshold_constant(c, M, N, rho))
+
+
+def _verdict(cprime, bound) -> str:
+    """The verdict of :func:`admissible_verdict` on cprime against the bound -1/C."""
     if is_exact(cprime) and is_exact(bound):
         on_boundary = cprime == bound
     else:

@@ -142,6 +142,23 @@ def test_rayleigh_zero_matrix_exit_3(capsys):
     assert code == 3
 
 
+def test_rayleigh_linalg_error_exit_3(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError: when the variational route's fallback
+    # solve on the range of Hp fails as well, the command exits 3 with its message
+    import scipy.linalg
+
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("generalized eigenproblem failed")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    code, out, err = run(capsys, "rayleigh", "--rank-one", "0.9,0.7", "--c", "1,1", "--M", "2")
+    assert code == 3
+    assert out == ""
+    assert "error: generalized eigenproblem failed" in err.splitlines()
+
+
 def test_rayleigh_probe_shows_jump(capsys, tmp_path):
     f = tmp_path / "corner.json"
     f.write_text(

@@ -36,6 +36,7 @@ from entrywise.hadamard import (
 from entrywise.matrixio import load_matrix, parse_partition, parse_scalar
 from entrywise.partitions import StrictTuple, staircase_complement
 from entrywise.psd import discontinuity_probe, rayleigh_constant, rayleigh_variational
+from entrywise.samplers import psd_disc_samples
 from entrywise.schur import principal_specialization, schur_eval_ssyt_oracle
 from entrywise.strata import (
     GroupTag,
@@ -91,6 +92,9 @@ ROWS = [
      "entries exceed the closed disc of radius 1.0", None),
     ("positivity-samples", lambda: preserves_positivity_check({0: 1.0}, 2, 1.0, 0), ValueError,
      "samples must be positive", None),
+    # a negative count used to slice the near-corner rows from the end
+    ("sampler-count", lambda: list(psd_disc_samples(2, 1.0, -3, np.random.default_rng(0))),
+     ValueError, "count must be non-negative", None),
     # f[A] overflows: its NaN eigenvalues used to pass as positive
     ("positivity-overflow",
      lambda: preserves_positivity_check({0: 1.0, 1: 1e308, 2: 1e308}, 2, 1.0, 50),
@@ -257,6 +261,12 @@ def test_unrealizable_stratum_raises(monkeypatch):
     monkeypatch.setattr(strata, "_MAX_ATTEMPTS", 0)
     with pytest.raises(RuntimeError, match=r"^could not realize stratum \(\(0,\),\) for trivial$"):
         generate_in_stratum(singleton_partition(1), GroupTag.TRIVIAL)
+
+
+def test_zero_samples_draw_nothing():
+    rng = np.random.default_rng(0)
+    assert list(psd_disc_samples(2, 1.0, 0, rng)) == []
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_public_names():
