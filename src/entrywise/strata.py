@@ -9,9 +9,10 @@ trivial-group strata the simultaneous kernel of all Hadamard powers is the
 fixed block zero-sum subspace.
 
 Every block that stratify and verify_offdiagonal_structure test, diagonal or
-off-diagonal, goes through one kernel (_blocks_ok): the orbit test and a
-certified rank-one test for all blocks at once in whole-array passes, with an
-SVD only for a block the certificate cannot accept.
+off-diagonal, regrouped or not, goes through one kernel (_blocks_ok): one
+orbit rule (_orbit) and a certified rank-one test for all blocks at once in
+whole-array passes, and one settle step (_settle) for what those leave open,
+pairwise orbit comparisons and an SVD.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ _PAIR_CHUNK = 1 << 18
 _MAX_ATTEMPTS = 25
 # The tol at which those two label their matrices: stratify's default.
 _LABEL_TOL = 1e-9
-# Entries up to which a lone block is tested by _block_ok rather than by the
-# passes of _blocks_ok: one _block_ok with its SVD took 21-31 us from 2x2 to
-# 8x8, the passes 44-47 us, and the two met near 16x16 (2-core Xeon, one BLAS
+# Entries up to which a lone block skips the gather and the rank certificate
+# of _blocks_ok: its orbit test and SVD took 21-31 us from 2x2 to 8x8, the
+# gathered passes 44-47 us, and the two met near 16x16 (2-core Xeon, one BLAS
 # thread).
 _LONE_MAX = 64
 _EPS = float(np.finfo(float).eps)
@@ -104,34 +105,6 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _single_orbit(values: np.ndarray, group: GroupTag, tol: float, scale: float) -> bool:
-    """Entries of the 1-D array `values` in one G-orbit, within tol * scale.
-
-    Under the trivial group every pair of entries must lie within the cut.
-    The distances to the first entry decide almost every block: one above the
-    cut fails a pair, and all within half of it pass every pair by the
-    triangle inequality.  Only a spread in between is compared pair by pair,
-    a chunk of rows at a time.
-    """
-    cut = tol * scale
-    if group is GroupTag.TRIVIAL:
-        far = float(_modulus(values - values[0]).max())
-        if far > cut:
-            return False
-        if 2.0 * far <= cut * (1.0 - _ORBIT_MARGIN):
-            return True
-        step = max(1, _PAIR_CHUNK // values.size)
-        return all(
-            bool((_modulus(values[s : s + step, None] - values[s:]) <= cut).all())
-            for s in range(0, values.size, step)
-        )
-    mods = _modulus(values)
-    if group is GroupTag.UNIT_CIRCLE:
-        return bool(mods.max() - mods.min() <= cut)
-    big = mods > cut  # GroupTag.NONZERO_COMPLEX
-    return bool(big.all() or not big.any())
-
-
 def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
     """N x N mask of the pair relation: (i, j) is set when the 2x2 principal
     submatrix on i, j has |det| <= tol * scale^2 and its four entries lie in
@@ -171,11 +144,40 @@ def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
     return flat & (every | none)
 
 
-def _block_ok(sub, group: GroupTag, tol: float, scale: float) -> bool:
-    """Entries of the block in one G-orbit and numerical rank at most one."""
-    if not _single_orbit(sub.ravel(), group, tol, scale):
-        return False
-    if min(sub.shape) < 2:
+def _orbit(B, start, pivot, group: GroupTag, cut: float):
+    """Per segment of the flat entries B (segment s from B[start[s]], its
+    first entry in pivot, per entry or for all), boolean arrays (yes, no): in
+    one G-orbit within the cut, or not.  Under the trivial group, where every
+    pair must lie within the cut, the largest distance to the first entry
+    rejects above the cut and accepts within half of it (by the triangle
+    inequality); a segment in between is neither."""
+    if group is GroupTag.TRIVIAL:
+        far = np.maximum.reduceat(_modulus(B - pivot), start)
+        return 2.0 * far <= cut * (1.0 - _ORBIT_MARGIN), far > cut
+    mods = _modulus(B)
+    if group is GroupTag.UNIT_CIRCLE:
+        yes = np.maximum.reduceat(mods, start) - np.minimum.reduceat(mods, start) <= cut
+    else:  # GroupTag.NONZERO_COMPLEX: all entries above the cut or none
+        big = mods > cut
+        yes = np.minimum.reduceat(big, start) | ~np.maximum.reduceat(big, start)
+    return yes, ~yes
+
+
+def _settle(sub, orbit: bool, rank: bool, tol: float, scale: float) -> bool:
+    """Decide the block sub that _orbit did not reject: orbit when _orbit
+    accepted it (else its trivial-group spread lies in the band, and every
+    pair of entries is compared, a chunk of rows at a time), and rank when
+    its rank is certified (else an SVD decides, unless sub is one row or one
+    column)."""
+    if not orbit:
+        values, cut = sub.ravel(), tol * scale
+        step = max(1, _PAIR_CHUNK // values.size)
+        if not all(
+            bool((_modulus(values[s : s + step, None] - values[s:]) <= cut).all())
+            for s in range(0, values.size, step)
+        ):
+            return False
+    if rank or min(sub.shape) < 2:
         return True
     s, f = spectral.spectrum(lambda X: np.linalg.svd(X, compute_uv=False), sub)
     return bool(s[1] <= tol * max(scale * f, float(s[0])))
@@ -187,19 +189,17 @@ def _sub(H, rows, cols):
 
 
 def _blocks_ok(H, rows, cols, group: GroupTag, tol: float, scale: float):
-    """Iterator of _block_ok(_sub(H, r, c), group, tol, scale) over the
-    segments (r, c) of the lists rows and cols, for an exactly Hermitian
-    complex H (as spectral.hermitian_part returns it).
+    """Iterator of booleans over the segments (r, c) of the lists rows and
+    cols, for an exactly Hermitian complex H (as spectral.hermitian_part
+    returns it): _sub(H, r, c) in one G-orbit within tol * scale and of
+    numerical rank at most one by _settle's SVD test.
 
-    All segments are decided in one fixed set of numpy passes over their
-    gathered entries, reduced segment by segment with reduceat; _block_ok
-    runs, lazily and in order, only on a segment those passes leave open.
-    A lone segment of at most _LONE_MAX entries goes to _block_ok directly:
-    one small SVD costs less than the fixed cost of the passes.
-    The orbit test is _single_orbit's, bit for bit: per segment the largest
-    |b - b_00|, the spread of the moduli or the entries above the cut.  Under
-    the trivial group a segment whose largest distance lies between half the
-    cut and the cut is left open.
+    The entries of all segments are gathered into one flat array B, and
+    _orbit and a rank-one certificate decide them in a fixed set of numpy
+    passes, reduced per segment with reduceat.  A lone segment of at most
+    _LONE_MAX entries skips the gather and the certificate, which cost more
+    than one small SVD: B is its block's own entries.  _settle decides,
+    lazily and in order, what the passes neither reject nor accept.
 
     Rank at most one is certified with no SVD.  For the m x n block B of a
     segment, m, n >= 2, take q = fl(B[0, :] / B[0, 0]), R = fl(B[:, 0] q)
@@ -209,9 +209,9 @@ def _blocks_ok(H, rows, cols, group: GroupTag, tol: float, scale: float):
     of H, and tol * scale >= N 2^-530.  A NaN or an infinity, from
     B[0, 0] = 0 or an overflow, fails the test and leaves the SVD to decide.
 
-    The certificate accepts only what _block_ok accepts.  Write ||.|| for
-    the Frobenius norm, k = m n <= N^2 and lambda = 2^-1074, the subnormal
-    spacing, and take N below 10^6, as for spectral.psd_verdict.
+    The certificate accepts only what _settle's SVD test accepts.  Write
+    ||.|| for the Frobenius norm, k = m n <= N^2 and lambda = 2^-1074, the
+    subnormal spacing, and take N below 10^6, as for spectral.psd_verdict.
 
     - X = B[:, 0] q is exactly rank one, however q was rounded, so
       sigma_2(B) <= ||B - X||_2 <= ||B - R|| + ||R - X|| (Eckart-Young-Mirsky).
@@ -235,52 +235,44 @@ def _blocks_ok(H, rows, cols, group: GroupTag, tol: float, scale: float):
     - By Weyl, s[1] <= sigma_2(B) + ||F||_2 <= 0.27 tol scale + tol s[0] / 7.
       That is below fl(tol scale) when s[0] <= scale and below
       (1 - u) tol s[0] otherwise, so below fl(tol * max(scale, s[0])):
-      _block_ok's test passes.
+      _settle's SVD test passes.
     """
     if not rows:
         return iter(())
-    if len(rows) == 1 and len(rows[0]) * len(cols[0]) <= _LONE_MAX:
-        return iter([_block_ok(_sub(H, rows[0], cols[0]), group, tol, scale)])
     N, S = H.shape[0], len(rows)
     cut = tol * scale
-    m = np.fromiter(map(len, rows), np.intp, S)
-    n = np.fromiter(map(len, cols), np.intp, S)
     with np.errstate(all="ignore"):
-        # flat positions of each entry: its segment's B[0, 0], its row's
-        # B[a, 0], and its column b within the segment
-        size = m * n
-        start = size.cumsum() - size
-        width = n.repeat(m)
-        head = (width.cumsum() - width).repeat(width)
-        first = start.repeat(size)
-        b = np.arange(head.size) - head
-        I = np.fromiter(chain.from_iterable(rows), np.intp).repeat(width)
-        J = np.fromiter(chain.from_iterable(cols), np.intp)[(n.cumsum() - n).repeat(size) + b]
-        B = H[I, J]
-        pivot = B[first]
-        if group is GroupTag.TRIVIAL:
-            far = np.maximum.reduceat(_modulus(B - pivot), start)
-            no = far > cut
-            yes = 2.0 * far <= cut * (1.0 - _ORBIT_MARGIN)
+        if S == 1 and len(rows[0]) * len(cols[0]) <= _LONE_MAX:
+            lone = _sub(H, rows[0], cols[0])
+            B, start, pivot = lone.ravel(), [0], lone[0, 0]
+            rank_ok = np.array([min(lone.shape) < 2])
         else:
-            mods = _modulus(B)
-            if group is GroupTag.UNIT_CIRCLE:
-                yes = np.maximum.reduceat(mods, start) - np.minimum.reduceat(mods, start) <= cut
-            else:  # GroupTag.NONZERO_COMPLEX: all entries above the cut or none
-                big = mods > cut
-                yes = np.minimum.reduceat(big, start) | ~np.maximum.reduceat(big, start)
-            no = ~yes
-        rank_ok = np.minimum(m, n) < 2
-        if tol >= spectral.CERTIFY_GUARD * N * N * _EPS and cut >= N * 2.0**-530:
-            Z = np.empty((2, B.size), dtype=complex)  # rows E and R
-            np.multiply(B[head], B[first + b] / pivot, out=Z[1])
-            np.subtract(B, Z[1], out=Z[0])
-            nu_E, nu_R = np.sqrt(np.add.reduceat(np.square(Z.view(float)), 2 * start, axis=1))
-            rank_ok |= nu_E + 2.0 * _EPS * nu_R <= cut / 4  # 4 u = 2 eps
-        yes &= rank_ok
+            lone = None
+            m = np.fromiter(map(len, rows), np.intp, S)
+            n = np.fromiter(map(len, cols), np.intp, S)
+            # flat positions of each entry: its segment's B[0, 0], its row's
+            # B[a, 0], and its column b within the segment
+            size = m * n
+            start = size.cumsum() - size
+            width = n.repeat(m)
+            head = (width.cumsum() - width).repeat(width)
+            first = start.repeat(size)
+            b = np.arange(head.size) - head
+            I = np.fromiter(chain.from_iterable(rows), np.intp).repeat(width)
+            J = np.fromiter(chain.from_iterable(cols), np.intp)[(n.cumsum() - n).repeat(size) + b]
+            B = H[I, J]
+            pivot = B[first]
+            rank_ok = np.minimum(m, n) < 2
+            if tol >= spectral.CERTIFY_GUARD * N * N * _EPS and cut >= N * 2.0**-530:
+                Z = np.empty((2, B.size), dtype=complex)  # rows E and R
+                np.multiply(B[head], B[first + b] / pivot, out=Z[1])
+                np.subtract(B, Z[1], out=Z[0])
+                nu_E, nu_R = np.sqrt(np.add.reduceat(np.square(Z.view(float)), 2 * start, axis=1))
+                rank_ok |= nu_E + 2.0 * _EPS * nu_R <= cut / 4  # 4 u = 2 eps
+        yes, no = _orbit(B, start, pivot, group, cut)
     return (
-        t or (not f and _block_ok(_sub(H, r, c), group, tol, scale))
-        for r, c, t, f in zip(rows, cols, yes.tolist(), no.tolist())
+        t and k or (not f and _settle(_sub(H, r, c) if lone is None else lone, t, k, tol, scale))
+        for r, c, t, f, k in zip(rows, cols, yes.tolist(), no.tolist(), rank_ok.tolist())
     )
 
 
@@ -292,7 +284,7 @@ def _regroup(H, comp, related, group: GroupTag, tol: float, scale: float):
     for i in comp:
         for g in groups:
             block = g + [i]
-            if related[i, g].all() and _block_ok(_sub(H, block, block), group, tol, scale):
+            if related[i, g].all() and next(_blocks_ok(H, [block], [block], group, tol, scale)):
                 g.append(i)
                 break
         else:
@@ -397,8 +389,9 @@ def simultaneous_kernel(A, tol: float = 1e-9) -> SubspaceBasis:
     peak = np.max(np.abs(H))
     if peak > 0:
         H = H / peak
-    total = _h_hermitian((1.0,) * N, H)
-    w, V = np.linalg.eigh(spectral.hermitian_part(total))
+    # no Hermitian part: eigh reads only the lower triangle, exactly the
+    # conjugate of the upper one here, and ignores the diagonal's imaginary part
+    w, V = np.linalg.eigh(_h_hermitian((1.0,) * N, H))
     basis = V[:, spectral.kernel_mask(w, tol)]
     return SubspaceBasis(basis.shape[1], basis)
 

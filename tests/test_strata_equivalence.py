@@ -13,8 +13,11 @@ import pytest
 
 from entrywise import hadamard, spectral, strata
 from entrywise.strata import (
+    _ORBIT_MARGIN,
+    _PAIR_CHUNK,
     GroupTag,
     IndexPartition,
+    _modulus,
     generate_in_stratum,
     single_block_partition,
     singleton_partition,
@@ -63,6 +66,49 @@ def ref_block_ok(sub, group, tol, scale):
         return True
     s = np.linalg.svd(sub, compute_uv=False)
     return bool(s[1] <= tol * max(scale, float(s[0])))
+
+
+# The block test that the kernel replaced, one block at a time: strata's
+# _single_orbit and _block_ok as they stood before the kernel took over
+# every block decision, kept verbatim.
+
+
+def _single_orbit(values: np.ndarray, group: GroupTag, tol: float, scale: float) -> bool:
+    """Entries of the 1-D array `values` in one G-orbit, within tol * scale.
+
+    Under the trivial group every pair of entries must lie within the cut.
+    The distances to the first entry decide almost every block: one above the
+    cut fails a pair, and all within half of it pass every pair by the
+    triangle inequality.  Only a spread in between is compared pair by pair,
+    a chunk of rows at a time.
+    """
+    cut = tol * scale
+    if group is GroupTag.TRIVIAL:
+        far = float(_modulus(values - values[0]).max())
+        if far > cut:
+            return False
+        if 2.0 * far <= cut * (1.0 - _ORBIT_MARGIN):
+            return True
+        step = max(1, _PAIR_CHUNK // values.size)
+        return all(
+            bool((_modulus(values[s : s + step, None] - values[s:]) <= cut).all())
+            for s in range(0, values.size, step)
+        )
+    mods = _modulus(values)
+    if group is GroupTag.UNIT_CIRCLE:
+        return bool(mods.max() - mods.min() <= cut)
+    big = mods > cut  # GroupTag.NONZERO_COMPLEX
+    return bool(big.all() or not big.any())
+
+
+def _block_ok(sub, group: GroupTag, tol: float, scale: float) -> bool:
+    """Entries of the block in one G-orbit and numerical rank at most one."""
+    if not _single_orbit(sub.ravel(), group, tol, scale):
+        return False
+    if min(sub.shape) < 2:
+        return True
+    s, f = spectral.spectrum(lambda X: np.linalg.svd(X, compute_uv=False), sub)
+    return bool(s[1] <= tol * max(scale * f, float(s[0])))
 
 
 def ref_verified_split(A, comp, group, tol, scale):
@@ -287,11 +333,20 @@ def _orbit_inputs():
 ORBIT_INPUTS = _orbit_inputs()
 
 
+def _row_orbit(values, group, tol, scale):
+    """The kernel's verdict on `values` as one 1 x n segment, of rank one by
+    its shape, so the orbit test alone: the lone route up to _LONE_MAX
+    entries, the gathered passes above.  The kernel reads only the segment's
+    entries of H, so H is that row."""
+    row = values.reshape(1, -1)
+    return next(strata._blocks_ok(row, [(0,)], [tuple(range(values.size))], group, tol, scale))
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
 def test_single_orbit_matches_reference(group):
     for name, values in ORBIT_INPUTS:
         scale = 1.0 if name.startswith("tiny") else float(np.max(np.abs(values)))
-        got = strata._single_orbit(values, group, TOL, scale)
+        got = _row_orbit(values, group, TOL, scale)
         assert got == ref_single_orbit(values, group, TOL, scale), name
 
 
@@ -304,7 +359,7 @@ def test_orbit_inputs_reach_every_branch():
         scale = float(np.max(np.abs(values)))
         cut = TOL * scale
         far = float(np.max(np.abs(values - values[0])))
-        verdict = strata._single_orbit(values, GroupTag.TRIVIAL, TOL, scale)
+        verdict = _row_orbit(values, GroupTag.TRIVIAL, TOL, scale)
         if far > cut:
             seen.add("reject")
         elif 2 * far <= cut * (1 - 1e-9):
@@ -325,7 +380,7 @@ def test_orbit_inputs_reach_every_branch():
 
 def test_chains_take_the_regroup_path():
     """The chain matrices are one component of the trivial-group pair
-    relation that fails as a block, so _verified_split regroups it."""
+    relation that fails as a block, so _regroup splits it."""
     for name, A in CASES:
         if name.startswith("chain"):
             H = spectral.require_psd(A, TOL)
@@ -389,10 +444,11 @@ def _kernel_partitions(H, rng):
 @pytest.mark.parametrize("tol", [TOL, 1e-14], ids=["tol-1e-9", "below-guard"])
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
 def test_block_kernel_matches_block_ok(group, tol):
-    """Per segment, the kernel returns _block_ok's boolean: on every case,
-    for the stratifications under every group, the two extreme partitions
-    and a random one.  At tol = 1e-14 the rank guard (tol >= 64 N^2 eps)
-    fails at every N, so the SVD decides every rank there."""
+    """Per segment, the kernel returns the boolean of _block_ok, the
+    verbatim copy above: on every case, for the stratifications under every
+    group, the two extreme partitions and a random one.  At tol = 1e-14 the
+    rank guard (tol >= 64 N^2 eps) fails at every N, so the SVD decides
+    every rank there."""
     rng = np.random.default_rng(17)
     for name, A in KERNEL_CASES:
         try:
@@ -404,19 +460,44 @@ def test_block_kernel_matches_block_ok(group, tol):
             continue
         for pi in _kernel_partitions(H, rng):
             rows, cols = _segments(pi)
-            want = [strata._block_ok(strata._sub(H, r, c), group, tol, scale) for r, c in zip(rows, cols)]
+            want = [_block_ok(strata._sub(H, r, c), group, tol, scale) for r, c in zip(rows, cols)]
             assert list(strata._blocks_ok(H, rows, cols, group, tol, scale)) == want, (name, pi)
 
 
+@pytest.mark.parametrize("tol", [TOL, 1e-14], ids=["tol-1e-9", "below-guard"])
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
+def test_lone_route_agrees_with_the_passes(group, tol):
+    """A lone segment of at most _LONE_MAX entries skips the gather and the
+    certificate; given twice, the same segment takes the passes.  Both
+    routes decide every such block of the kernel cases alike."""
+    rng = np.random.default_rng(17)
+    for name, A in KERNEL_CASES:
+        try:
+            H = spectral.require_psd(A, TOL)
+        except ValueError:
+            continue
+        scale = float(np.max(np.abs(H)))
+        if scale == 0.0:
+            continue
+        segments = set()
+        for pi in _kernel_partitions(H, rng):
+            segments.update(zip(*_segments(pi)))
+        for r, c in sorted(segments):
+            if len(r) * len(c) <= strata._LONE_MAX:
+                (lone,) = strata._blocks_ok(H, [r], [c], group, tol, scale)
+                passes = list(strata._blocks_ok(H, [r, r], [c, c], group, tol, scale))
+                assert passes == [lone, lone], (name, r, c)
+
+
 def test_block_kernel_leaves_open_what_it_cannot_certify(monkeypatch):
-    """The fallback runs on an orbit spread in the band between half the
-    cut and the cut, on sums of squares that overflow, on a zero pivot and
-    on a block of higher rank whose entries pass the orbit test, which only
-    the SVD can reject."""
+    """_settle runs on an orbit spread in the band between half the cut and
+    the cut, on sums of squares that overflow, on a zero pivot and on a
+    block of higher rank whose entries pass the orbit test, which only the
+    SVD can reject."""
     opened = []
-    block_ok = strata._block_ok
+    settle = strata._settle
     monkeypatch.setattr(
-        strata, "_block_ok", lambda sub, *args: opened.append(sub.shape) or block_ok(sub, *args)
+        strata, "_settle", lambda sub, *args: opened.append(sub.shape) or settle(sub, *args)
     )
 
     def run(name, group):
@@ -443,9 +524,12 @@ def test_block_kernel_leaves_open_what_it_cannot_certify(monkeypatch):
     rows, cols = [(0, 1), (0, 1)], [(0, 1), (2,)]
     assert list(strata._blocks_ok(H, rows, cols, GroupTag.NONZERO_COMPLEX, TOL, 1.0)) == [True, True]
     assert opened == [(2, 2)]
-    # a lone small block goes to _block_ok directly
+    # a lone small block skips the certificate, so it settles what its orbit
+    # test accepts; one that its orbit test rejects is not settled
     opened.clear()
     assert list(strata._blocks_ok(H, [(0, 2)], [(0, 2)], GroupTag.TRIVIAL, TOL, 1.0)) == [False]
+    assert opened == []
+    assert list(strata._blocks_ok(H, [(0, 1)], [(0, 1)], GroupTag.TRIVIAL, TOL, 1.0)) == [True]
     assert opened == [(2, 2)]
 
 
@@ -464,7 +548,7 @@ def test_block_kernel_agrees_with_svd_near_the_cut(m):
         H = spectral.hermitian_part(np.block([[np.ones((m, m)), X], [X.conj().T, np.ones((m, m))]]))
         rows, cols = 2 * [tuple(range(m))], 2 * [tuple(range(m, 2 * m))]  # not a lone block
         for group in (GroupTag.UNIT_CIRCLE, GroupTag.NONZERO_COMPLEX):
-            want = strata._block_ok(strata._sub(H, rows[0], cols[0]), group, TOL, 1.0)
+            want = _block_ok(strata._sub(H, rows[0], cols[0]), group, TOL, 1.0)
             assert list(strata._blocks_ok(H, rows, cols, group, TOL, 1.0)) == [want, want], size
             seen.add(want)
     assert seen == {True, False}
@@ -508,3 +592,25 @@ def test_h_from_one_triangle_is_bit_identical(name, H, c):
     assert got.tobytes() == want.tobytes()
     ones = (1.0,) * H.shape[0]  # the coefficients of simultaneous_kernel
     assert hadamard._h_hermitian(ones, H).tobytes() == hadamard.h_matrix(ones, H).tobytes()
+
+
+@pytest.mark.parametrize("name,A", CASES, ids=[name for name, _ in CASES])
+def test_simultaneous_kernel_eigh_needs_no_hermitian_part(name, A):
+    """h_c from one triangle is exactly Hermitian, and eigh reads only its
+    lower triangle and the real part of its diagonal, so its eigh equals,
+    bit for bit, the eigh of its Hermitian part (whose halving is exact but
+    for subnormal entries, which these cases do not have); simultaneous_kernel
+    takes the first."""
+    try:
+        H = spectral.require_psd(A, TOL)
+    except ValueError:
+        return
+    peak = np.max(np.abs(H))
+    if peak > 0:
+        H = H / peak
+    total = hadamard._h_hermitian((1.0,) * H.shape[0], H)
+    w, V = np.linalg.eigh(total)
+    w_ref, V_ref = np.linalg.eigh(spectral.hermitian_part(total))
+    assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
+    basis = strata.simultaneous_kernel(A, TOL).basis
+    assert basis.tobytes() == V_ref[:, spectral.kernel_mask(w_ref, TOL)].tobytes()
