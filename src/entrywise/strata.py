@@ -40,6 +40,8 @@ _LABEL_TOL = 1e-9
 # gathered passes 44-47 us, and the two met near 16x16 (2-core Xeon, one BLAS
 # thread).
 _LONE_MAX = 64
+# _orbit's segment starts for a lone block: all its entries, one segment.
+_ONE_SEGMENT = np.zeros(1, np.intp)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -241,13 +243,13 @@ def _blocks_ok(H, rows, cols, group: GroupTag, tol: float, scale: float):
         return iter(())
     N, S = H.shape[0], len(rows)
     cut = tol * scale
-    with np.errstate(all="ignore"):
-        if S == 1 and len(rows[0]) * len(cols[0]) <= _LONE_MAX:
-            lone = _sub(H, rows[0], cols[0])
-            B, start, pivot = lone.ravel(), [0], lone[0, 0]
-            rank_ok = np.array([min(lone.shape) < 2])
-        else:
-            lone = None
+    if S == 1 and len(rows[0]) * len(cols[0]) <= _LONE_MAX:
+        lone = _sub(H, rows[0], cols[0])
+        yes, no = _orbit(lone.ravel(), _ONE_SEGMENT, lone[0, 0], group, cut)
+        rank_ok = [min(lone.shape) < 2]
+    else:
+        lone = None
+        with np.errstate(all="ignore"):
             m = np.fromiter(map(len, rows), np.intp, S)
             n = np.fromiter(map(len, cols), np.intp, S)
             # flat positions of each entry: its segment's B[0, 0], its row's
@@ -269,10 +271,11 @@ def _blocks_ok(H, rows, cols, group: GroupTag, tol: float, scale: float):
                 np.subtract(B, Z[1], out=Z[0])
                 nu_E, nu_R = np.sqrt(np.add.reduceat(np.square(Z.view(float)), 2 * start, axis=1))
                 rank_ok |= nu_E + 2.0 * _EPS * nu_R <= cut / 4  # 4 u = 2 eps
-        yes, no = _orbit(B, start, pivot, group, cut)
+            yes, no = _orbit(B, start, pivot, group, cut)
+        rank_ok = rank_ok.tolist()
     return (
         t and k or (not f and _settle(_sub(H, r, c) if lone is None else lone, t, k, tol, scale))
-        for r, c, t, f, k in zip(rows, cols, yes.tolist(), no.tolist(), rank_ok.tolist())
+        for r, c, t, f, k in zip(rows, cols, yes.tolist(), no.tolist(), rank_ok)
     )
 
 
