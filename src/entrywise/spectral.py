@@ -3,10 +3,10 @@
 Every positivity decision in the package has one meaning: the smallest
 eigenvalue of a Hermitian part, compared on the scale max(1, spectral
 radius).  This module holds that test once.  Code that needs the spectrum
-(``psd_spectrum``, ``psd_failures`` on a stack) runs an eigen-solve; the
-yes/no decision of :func:`psd_verdict` behind ``require_psd`` and
-``psd.psd_check`` first tries, from order 16 on, a Cholesky certificate
-that accepts only what the eigenvalue test accepts, and solves when the
+(``psd_failures`` on a stack) runs an eigen-solve; the yes/no decision of
+:func:`psd_verdict` behind ``require_psd`` and ``psd.psd_check`` first tries,
+at every order its guard on ``tol`` admits, a Cholesky certificate that
+accepts only what the eigenvalue test accepts, and solves when the
 certificate is not tried or fails.
 
 One private memo keeps the last matrix :func:`psd_verdict` decided: its
@@ -34,10 +34,6 @@ import math
 
 import numpy as np
 
-# Smallest order at which the Cholesky certificate is tried: below it the
-# factorisation saves at most a few microseconds over the eigen-solve (3 us
-# at n = 8, 11 us at n = 16 on a 2-core Xeon with one BLAS thread).
-CERTIFY_MIN_N = 16
 # K of the guard tol >= K n^2 eps under which a factorisation certifies;
 # see psd_verdict for the bound it must meet.
 CERTIFY_GUARD = 64
@@ -90,10 +86,10 @@ def spectrum(solve, X):
 
 
 def _extremes(H):
-    """(w, w_min, scale, s): ascending eigenvalues w of H * s (see spectrum), per
-    row of a stack, their least and max(s, max|w|), H's max(1, max|w|) at s."""
+    """(w_min, scale, s): the least eigenvalue w_min of H * s (see spectrum), per
+    row of a stack, and max(s, max|w|), H's max(1, max|w|) at s."""
     w, s = spectrum(np.linalg.eigvalsh, H)
-    return w, w[..., 0], np.abs(w).max(axis=-1, initial=s), s
+    return w[..., 0], np.abs(w).max(axis=-1, initial=s), s
 
 
 def psd_failures(X, tol: float):
@@ -104,36 +100,21 @@ def psd_failures(X, tol: float):
     H = hermitian_part(X)
     if not np.isfinite(H).all():
         raise ValueError("matrix has a non-finite entry")
-    _, w_min, scale, _ = _extremes(H)
+    w_min, scale, _ = _extremes(H)
     return w_min, scale, w_min < -tol * scale
-
-
-def _not_psd(w_min) -> ValueError:
-    return ValueError(f"matrix is not positive semidefinite: eigenvalue {w_min:.6g}")
-
-
-def psd_spectrum(A, tol: float):
-    """(H, w): the Hermitian part H of A, which must be Hermitian and PSD
-    within tol (smallest eigenvalue >= -tol * scale), and the ascending
-    eigenvalues w of H (at s: see spectrum); raises ValueError otherwise."""
-    H = require_hermitian(A, tol)
-    w, w_min, scale, s = _extremes(H)
-    if not w_min >= -tol * scale:
-        raise _not_psd(float(w_min) / s)  # -inf beyond the float range
-    return H, w
 
 
 def psd_verdict(A, tol: float):
     """(H, w_min): the Hermitian part H of A, which must be Hermitian within
     tol (:func:`require_hermitian`), and None if H is PSD within tol (smallest
-    eigenvalue >= -tol * scale, as in :func:`psd_spectrum`), else the
+    eigenvalue >= -tol * scale, scale = max(1, spectral radius)), else the
     smallest eigenvalue that fails that test.
 
-    From order CERTIFY_MIN_N on, and when tol >= K n^2 eps with
-    K = CERTIFY_GUARD, H is first accepted with no eigen-solve if the
-    Cholesky factorisation of H + delta I succeeds, for
-    delta = tol * max(1, max_i H_ii) / 2.  In every other case, a failed
-    factorisation included, the eigenvalues decide.
+    At every order, when tol >= K n^2 eps with K = CERTIFY_GUARD, H is first
+    accepted with no eigen-solve if the Cholesky factorisation of
+    H + delta I succeeds, for delta = tol * max(1, max_i H_ii) / 2.  In
+    every other case, a failed factorisation included, the eigenvalues
+    decide.
 
     The certificate accepts only what the eigenvalue test accepts.  Write
     u = eps / 2 and s = max(1, ||H||_2), and take both routines' classical
@@ -179,7 +160,7 @@ def _decide(H, tol: float):
     """None if the Hermitian matrix H is PSD within tol, else its smallest
     eigenvalue (the test of :func:`psd_verdict`)."""
     n = H.shape[0]
-    if n >= CERTIFY_MIN_N and tol >= CERTIFY_GUARD * n * n * _EPS:
+    if tol >= CERTIFY_GUARD * n * n * _EPS:
         G = H.copy()
         G.flat[:: n + 1] += tol * max(1.0, float(H.diagonal().real.max())) / 2
         try:
@@ -187,8 +168,8 @@ def _decide(H, tol: float):
             return None
         except np.linalg.LinAlgError:
             pass
-    _, w_min, scale, s = _extremes(H)
-    return None if w_min >= -tol * scale else float(w_min) / s
+    w_min, scale, s = _extremes(H)
+    return None if w_min >= -tol * scale else float(w_min) / s  # -inf beyond the float range
 
 
 def derived(H, key, make, *args):
@@ -222,7 +203,7 @@ def require_psd(A, tol: float) -> np.ndarray:
     raises ValueError otherwise (see :func:`psd_verdict`)."""
     H, w_min = psd_verdict(A, tol)
     if w_min is not None:
-        raise _not_psd(w_min)
+        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {w_min:.6g}")
     return H
 
 

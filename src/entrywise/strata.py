@@ -309,16 +309,16 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     tolerance chaining produced a false merge).  The zero matrix maps to the
     single-block partition by convention.
 
-    Cost: one validation of A (a Cholesky certificate from order 16 on, an
-    eigen-solve below it or when that fails; neither, and no stratification
-    when one under the same group and tol is kept, if A was the last matrix
-    validated: see ``spectral``); the pair relation as a few elementwise
-    passes over N x N arrays; for all components of two or more indices
-    together, a fixed number of passes over their sum of b^2 entries that
-    decide the orbit and rank tests.  Per component only what those leave
-    open costs more: all pairs of entries when their spread lies between half
-    the cut and the cut, and one SVD of the b x b block when the rank-one
-    certificate fails (always for a component that does not verify).
+    Cost: one validation of A (a Cholesky certificate when tol >= 64 N^2 eps,
+    an eigen-solve for a smaller tol or when the factorisation fails; neither,
+    and no stratification when one under the same group and tol is kept, if
+    A was the last matrix validated: see ``spectral``); the pair relation as
+    a few elementwise passes over N x N arrays; for all components of two or
+    more indices together, a fixed number of passes over their sum of b^2
+    entries that decide the orbit and rank tests.  Per component only what
+    those leave open costs more: all pairs of entries when their spread lies
+    between half the cut and the cut, and one SVD of the b x b block when the
+    rank-one certificate fails (always for a component that does not verify).
     """
     _require_group(group)
     return _stratify(spectral.require_psd(A, tol), group, tol)
@@ -436,9 +436,9 @@ def subspace_max_angle(B1: np.ndarray, B2: np.ndarray) -> float:
 
 def rank_bound_check(A, tol: float = 1e-9) -> bool:
     """Numerical rank of A is at most the number of nonzero_complex strata blocks."""
-    H, w = spectral.psd_spectrum(A, tol)
-    rank = int(np.sum(~spectral.kernel_mask(w, tol)))
-    return rank <= len(_partition(H, GroupTag.NONZERO_COMPLEX, tol).blocks)
+    H = spectral.require_psd(A, tol)
+    kernel = spectral.kernel_mask(spectral.spectrum(np.linalg.eigvalsh, H)[0], tol)
+    return np.count_nonzero(~kernel) <= len(_stratify(H, GroupTag.NONZERO_COMPLEX, tol).blocks)
 
 
 def _block_vectors(pi: IndexPartition, group: GroupTag, rng: np.random.Generator) -> np.ndarray:

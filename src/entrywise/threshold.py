@@ -20,7 +20,7 @@ from .backends import is_exact
 from .hadamard import _require_exponent, coefficients, entrywise_poly, h_matrix, hadamard_power
 from .partitions import _require_m_ge_n, hook_dimension
 from .psd import _rank_one_values, psd_check
-from .samplers import _disc_radius, near_corner_path, psd_disc_batches
+from .samplers import _disc_radius, _outer_rows, near_corner_path, psd_disc_batches
 
 BOUNDARY_WIDTH = 1e-12
 
@@ -239,7 +239,7 @@ def horn_necessity_witness(
                 rng = np.random.default_rng(seed)
             U = rng.uniform(0.0, root, size=(k, N))
             U = U[np.all(U != 0.0, axis=1)]
-        A = U[:, :, None] * U[:, None, :]
+        A = _outer_rows(U)
         bad = spectral.psd_failures(np.asarray(entrywise_poly(f, A), dtype=float), tol)[2]
         if bad.any():
             return A[np.argmax(bad)].copy()

@@ -1,15 +1,16 @@
 """The Cholesky-certified PSD decision against the eigenvalue-only reference.
 
 ``spectral.psd_verdict`` (behind ``require_psd`` and ``psd_check``) accepts a
-matrix of order 16 or more without an eigen-solve when a factorisation of a
-slightly shifted copy succeeds.  The references below are the eigenvalue-only
-code it replaced (0 x 0 input, now refused by ``require_square``, is tested
-in ``test_psd.py``).  On every input both must agree exactly: the same returned
-array (values and dtype) and the same verdict, or the same exception type and
-message.  The shifts reach both sides of the certificate: with the largest
-diagonal entry at max(1, scale), as on the unit-scale matrices here, an
-eigenvalue 0.45 tol * scale below zero is certified and one 0.55 below is
-not, so the eigenvalues must still accept it.
+matrix of any order without an eigen-solve when tol >= 64 n^2 eps and a
+factorisation of a slightly shifted copy succeeds.  The references below are
+the eigenvalue-only code it replaced (0 x 0 input, now refused by
+``require_square``, is tested in ``test_psd.py``).  On every input both must
+agree exactly: the same returned array (values and dtype) and the same
+verdict, or the same exception type and message.  The shifts reach both
+sides of the certificate: with the largest diagonal entry at max(1, scale),
+as on the unit-scale matrices here, an eigenvalue 0.45 tol * scale below
+zero is certified and one 0.55 below is not, so the eigenvalues must still
+accept it.
 """
 
 import math
@@ -24,7 +25,7 @@ from entrywise.strata import GroupTag, IndexPartition, generate_in_stratum
 TOLS = (0.0, 1e-15, 1e-9, 1e-3)
 SHIFTS = (None, 0.1, 0.45, 0.55, 0.9, 1.1, 2.0)  # lambda_min = -k * tol * scale
 SCALES = (1e-20, 1.0, 1e20)
-ORDERS = (15, 16, 17)
+ORDERS = (1, 2, 3, 4, 5, 8, 12, 15, 16, 17)
 
 
 # --- references ---------------------------------------------------------------
@@ -154,6 +155,11 @@ def test_strata_matrices_match_reference(group):
         -np.eye(20),
         np.zeros((20, 20)),
         np.ones((16, 17)),
+        np.diag([1.0, np.nan]),
+        np.diag([1.0, -1.0]),
+        np.triu(np.ones((3, 3))),
+        -np.eye(1),
+        np.zeros((2, 2)),
     ],
 )
 def test_invalid_inputs_match_reference(A):
@@ -161,10 +167,11 @@ def test_invalid_inputs_match_reference(A):
         _assert_same(A, tol)
 
 
-def test_both_routes_are_taken(monkeypatch):
+@pytest.mark.parametrize("n", [4, 24])
+def test_both_routes_are_taken(monkeypatch, n):
     # k = 0.45 leaves H + delta I positive definite, k = 0.55 does not; both
     # are PSD within tol, so only the route differs
-    P = _base("wishart", 24, True, np.random.default_rng(7))
+    P = _base("wishart", n, True, np.random.default_rng(7))
     cases = [(_shifted(P, k, 1e-3), k < 1, solves) for k, solves in
              ((0.1, 0), (0.45, 0), (0.55, 1), (0.9, 1), (1.1, 1))]
     count = _Count(monkeypatch)
@@ -185,10 +192,12 @@ def test_certified_stratum_matrix_needs_no_eigen_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("n", ORDERS)
-def test_certificate_starts_at_the_crossover(monkeypatch, n):
+def test_certificate_runs_at_every_order(monkeypatch, n):
     count = _Count(monkeypatch)
     assert psd_check(np.eye(n), 1e-9)
-    assert count.calls == (n < spectral.CERTIFY_MIN_N)
+    assert count.calls == 0
+    assert psd_check(np.eye(n), 0.0)  # below the guard: the eigenvalues decide
+    assert count.calls == 1
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9])

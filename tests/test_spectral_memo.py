@@ -133,11 +133,13 @@ def test_cli_stratify_and_rayleigh_equal_fresh_validation(monkeypatch, capsys, t
 
 
 class _Count:
-    """Counts calls of spectral.require_hermitian and np.linalg.eigvalsh."""
+    """Counts calls of spectral.require_hermitian, np.linalg.eigvalsh and
+    np.linalg.cholesky."""
 
     def __init__(self, monkeypatch):
-        self.hermitian = self.eigvalsh = 0
-        require_hermitian, eigvalsh = spectral.require_hermitian, np.linalg.eigvalsh
+        self.hermitian = self.eigvalsh = self.cholesky = 0
+        require_hermitian = spectral.require_hermitian
+        eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
 
         def hermitian(A, tol):
             self.hermitian += 1
@@ -147,8 +149,13 @@ class _Count:
             self.eigvalsh += 1
             return eigvalsh(H)
 
+        def factor(G):
+            self.cholesky += 1
+            return cholesky(G)
+
         monkeypatch.setattr(spectral, "require_hermitian", hermitian)
         monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+        monkeypatch.setattr(np.linalg, "cholesky", factor)
 
 
 A3 = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
@@ -179,7 +186,8 @@ def test_repeat_call_needs_no_validation(monkeypatch):
     H = spectral.require_psd(A3, 1e-9)
     assert spectral.require_psd(A3.copy(), 1e-9) is H
     assert psd_check(A3.tolist(), 1e-9)
-    assert (count.hermitian, count.eigvalsh) == (1, 1)
+    # one validation, decided by one solve of either kind
+    assert (count.hermitian, count.eigvalsh + count.cholesky) == (1, 1)
 
 
 def test_in_place_change_validates_afresh(monkeypatch):

@@ -201,6 +201,74 @@ def test_rank_bound_check_rejects_non_psd():
         rank_bound_check(np.diag([1.0, -1.0]))
 
 
+def ref_psd_spectrum(A, tol):
+    """The eigenvalue-only validation rank_bound_check used before it shared
+    require_psd and its memo."""
+    H = spectral.require_hermitian(A, tol)
+    w, s = spectral.spectrum(np.linalg.eigvalsh, H)
+    w_min, scale = w[..., 0], np.abs(w).max(axis=-1, initial=s)
+    if not w_min >= -tol * scale:
+        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {float(w_min) / s:.6g}")
+    return H, w
+
+
+def ref_rank_bound_check(A, tol=1e-9):
+    H, w = ref_psd_spectrum(A, tol)
+    rank = int(np.sum(~spectral.kernel_mask(w, tol)))
+    return rank <= len(strata._partition(H, GroupTag.NONZERO_COMPLEX, tol).blocks)
+
+
+def _rank_bound_inputs():
+    rng = np.random.default_rng(11)
+    for N in range(3, 25):
+        labels = rng.integers(0, max(1, N // 3), size=N).tolist()
+        blocks = {}
+        for i, label in enumerate(labels):
+            blocks.setdefault(label, []).append(i)
+        pi = IndexPartition(tuple(tuple(b) for b in blocks.values()))
+        for group in GroupTag:
+            yield generate_in_stratum(pi, group, seed=N)
+    for n, k in ((2, 1), (3, 1), (4, 2), (6, 3), (16, 5), (20, 19)):
+        B = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        yield B @ B.conj().T
+    yield np.zeros((3, 3))
+    yield np.diag([1.0, -1.0])
+    yield np.diag([1.0, 0.0, -1e-10])
+    yield np.triu(np.ones((3, 3)))
+    yield np.diag([1.0, np.nan])
+    for n in (1, 2, 5, 24):
+        yield np.full((n, n), 1e308)
+    yield np.diag([1e308, -1e308])
+    yield -1e308 * np.eye(3)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_rank_bound_check_matches_reference(tol):
+    for A in _rank_bound_inputs():
+        outcomes = []
+        for check in (rank_bound_check, ref_rank_bound_check):
+            try:
+                outcomes.append(check(A, tol))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_rank_bound_check_keeps_the_stratification(monkeypatch):
+    A = generate_in_stratum(IndexPartition(((0, 1), (2, 3, 4), (5,))), GroupTag.UNIT_CIRCLE, seed=2)
+    calls = []
+    partition = strata._partition
+    monkeypatch.setattr(
+        strata, "_partition", lambda H, g, tol: calls.append(g) or partition(H, g, tol)
+    )
+    assert rank_bound_check(A)
+    assert rank_bound_check(A)
+    assert stratify(A, GroupTag.NONZERO_COMPLEX) == partition(
+        spectral.hermitian_part(A), GroupTag.NONZERO_COMPLEX, 1e-9
+    )
+    assert calls == [GroupTag.NONZERO_COMPLEX]
+
+
 def test_closure_probe_path_and_limit():
     target = IndexPartition(((0, 1), (2,)))
     source = singleton_partition(3)
