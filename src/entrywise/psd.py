@@ -128,7 +128,7 @@ def rayleigh_rank_one(c: Sequence, M: int, u: Sequence) -> float:
     """Closed form sum_j |s_hook(M,N,j)(u)|^2 / c_j for rank-one input u u*.
 
     Exact for pairwise distinct u; at (near-)coincident coordinates the value
-    is still the stable Jacobi-Trudi evaluation but no longer equals the
+    is still the hooks' branching-rule evaluation but no longer equals the
     spectral constant of u u* (the map is discontinuous there), so a warning
     is emitted.
     """
@@ -213,7 +213,7 @@ def discontinuity_probe(
     if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
         raise ValueError("epsilons must be strictly decreasing")
     rho = _disc_radius(N, rho)
-    path = near_corner_path(N, rho**0.5, eps).tolist()
+    path = near_corner_path(N, rho, eps).tolist()
     cs = coefficients(c, N)  # a bad c raises before any warning
     _warn_near_coincident(M, N, path)
     rows = list(zip(eps, _rank_one_values(cs, M, path)))

@@ -57,18 +57,17 @@ def random_gaussian_rational_vector(rng: random.Random, n: int, distinct: bool =
     return out
 
 
-def near_corner_path(N: int, root: float, deltas) -> np.ndarray:
-    """Rows u_k = root (1 - delta k / N), k = 1..N, one per delta.
+def near_corner_path(N: int, rho: float, deltas) -> np.ndarray:
+    """Rows u_k = sqrt(rho) (1 - delta k / N), k = 1..N, one per delta.
 
-    With root = sqrt(rho) the coordinates are pairwise distinct for delta > 0
-    and approach the corner sqrt(rho)*(1,..,1) as delta -> 0: the rank-one
-    path along which the threshold constants are sharp.  Callers pass the
-    root so that each keeps its own rounding of sqrt(rho).  One array
-    expression does the scalar formula's operations in its order (delta k,
-    then / N, then 1 -, then root *), so each entry has the scalar formula's
-    bits; the result has shape (len(deltas), N), empty deltas included.
+    The coordinates are pairwise distinct for delta > 0 and approach the
+    corner sqrt(rho)*(1,..,1) as delta -> 0: the rank-one path along which
+    the threshold constants are sharp.  sqrt(rho) is rounded once, by
+    np.sqrt.  One array expression does the scalar formula's operations in
+    its order (delta k, then / N, then 1 -, then sqrt(rho) *), so each entry
+    has the scalar formula's bits; the result has shape (len(deltas), N).
     """
-    return root * (1.0 - np.asarray(deltas, dtype=float)[:, None] * np.arange(1, N + 1) / N)
+    return np.sqrt(rho) * (1.0 - np.asarray(deltas, dtype=float)[:, None] * np.arange(1, N + 1) / N)
 
 
 def _outer_rows(U: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def psd_disc_batches(
         raise ValueError("count must be non-negative")
     rho = _disc_radius(N, rho)
     root = np.sqrt(rho)
-    U = near_corner_path(N, root, NEAR_CORNER_DELTAS)[:count]
+    U = near_corner_path(N, rho, NEAR_CORNER_DELTAS)[:count]
     if len(U):
         yield [(np.arange(len(U)), _outer_rows(U))]
     start = len(U)

@@ -1,11 +1,11 @@
 """Point evaluation of Schur polynomials over exact and floating scalars.
 
-Exact hook values s_(a,1^b) come from the e/h sum
-s_(a,1^b) = sum_i (-1)^i e_{b-i} h_{a+i} over Gaussian integers
-(:func:`hook_values`).  The Jacobi-Trudi determinant in complete homogeneous
-polynomials, well-defined at repeated coordinates, serves floating points
-(one stacked determinant per call) and every other shape (:func:`_jacobi_trudi`).
-Explicit tableau enumeration exists as an independent cross-check.
+Hook values s_(a,1^b), h_k = s_(k) among them, come from one subtraction-free
+recurrence, the branching rule (:func:`_hook_table`), exact over Gaussian
+integers.  Every other shape takes the Jacobi-Trudi determinant in those h
+values (:func:`_jacobi_trudi`): one stacked determinant for a call's float
+points, fraction-free elimination at each exact one.  Explicit tableau
+enumeration exists as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import _eliminate, _gaussian_integer_rows, _rational, all_exact
-from .partitions import hook_partition
+from .partitions import _require_m_ge_n
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -31,21 +31,6 @@ def vandermonde_det(x):
         for j in range(i + 1, len(xs)):
             result = result * (xs[i] - xs[j])
     return result
-
-
-def complete_homogeneous(x, kmax: int):
-    """Values h_0(x), ..., h_kmax(x) by the one-variable-at-a-time recurrence.
-
-    h_k over the first m variables satisfies
-    h_k(x_1..x_m) = h_k(x_1..x_{m-1}) + x_m * h_{k-1}(x_1..x_m),
-    so a single in-place ascending sweep per variable suffices.  Exact over
-    rationals; numerically stable for floats (no alternating sums).
-    """
-    h = [1] + [0] * kmax
-    for xi in x:
-        for k in range(1, kmax + 1):
-            h[k] = h[k] + xi * h[k - 1]
-    return h
 
 
 def _parts(lam):
@@ -90,7 +75,7 @@ def _jacobi_trudi(shapes, points) -> list:
             floats.append(p)
             continue
         (zr,), (zi,), D, gaussian = _gaussian_integer_rows([x])
-        hr, hi = (h + [0] for h in _h_pairs(zr, zi, kmax))
+        hr, hi = ([row[0] for row in T] + [0] for T in _hook_table(zr, zi, kmax, 0))
         for s, ks in zip(live, index):
             re = [[hr[k] for k in row] for row in ks]
             im = [[hi[k] for k in row] for row in ks]
@@ -99,7 +84,10 @@ def _jacobi_trudi(shapes, points) -> list:
                 sign * re[-1][-1], sign * im[-1][-1], D ** sum(shapes[s]), 0, gaussian
             )
     if floats:
-        table = np.array([complete_homogeneous(points[p], kmax) + [0] for p in floats], complex)
+        hr, hi = _float_table([points[p] for p in floats], kmax, 0)
+        table = np.zeros((len(floats), kmax + 2), complex)
+        for k in range(kmax + 1):
+            table.real[:, k], table.imag[:, k] = hr[k][0], hi[k][0]
         for p, values in zip(floats, np.linalg.det(table[:, idx])):
             if not any(_is_complex(v) for v in points[p]):
                 values = values.real
@@ -127,71 +115,76 @@ def _is_complex(v) -> bool:
     return isinstance(v, complex) or (not isinstance(v, (int, float)) and np.iscomplexobj(v))
 
 
-def _h_pairs(zr, zi, kmax: int):
-    """(real parts, imaginary parts) of h_0..h_kmax at the Gaussian integers
-    z = zr + i zi, by the recurrence of :func:`complete_homogeneous`."""
-    hr, hi = [1] + [0] * kmax, [0] * (kmax + 1)
-    for a, b in zip(zr, zi):
-        for k in range(1, kmax + 1):
-            hr[k], hi[k] = (
-                hr[k] + a * hr[k - 1] - b * hi[k - 1],
-                hi[k] + a * hi[k - 1] + b * hr[k - 1],
-            )
-    return hr, hi
+def _hook_table(zr, zi, arm: int, leg: int):
+    """(real parts, imaginary parts) of T[a][b] = s_(a,1^b)(z), a <= arm and
+    b <= leg, at the point z = zr + i zi; column 0 holds h_0..h_arm.
+
+    The branching rule (Macdonald, Symmetric Functions, I.5; the hook
+    case of Demmel and Koev, Math. Comp. 75 (2006)): T starts as row 0 =
+    (1, 0, ..., 0) and zeros, and each coordinate w turns T into T' with
+    T'[a][b] = T[a][b] + w (T[a][b-1] + T'[a-1][b]).  It uses +, - and * on
+    (real, imaginary) pairs only, in the order of Python's complex product;
+    a part may be an int, a float or a numpy array over points.  At
+    non-negative real coordinates every term is non-negative: nothing cancels.
+    """
+    Tr = [[1] + [0] * leg] + [[0] * (leg + 1) for _ in range(arm)]
+    Ti = [[0] * (leg + 1) for _ in range(arm + 1)]
+    for n, (x, y) in enumerate(zip(zr, zi)):
+        for a in range(1, arm + 1):
+            ur, ui, tr, ti = Tr[a - 1], Ti[a - 1], Tr[a], Ti[a]
+            # downwards, so T[a][b-1] is still the old value; s_(a,1^b) of
+            # n + 1 coordinates vanishes for b > n
+            for b in range(min(leg, n), -1, -1):
+                wr, wi = (tr[b - 1] + ur[b], ti[b - 1] + ui[b]) if b else (ur[b], ui[b])
+                tr[b], ti[b] = tr[b] + (x * wr - y * wi), ti[b] + (x * wi + y * wr)
+    return Tr, Ti
+
+
+def _float_table(points, arm: int, leg: int):
+    """_hook_table at float points: on arrays over points, or on Python
+    floats for a lone point, where numpy's cost per call would dominate."""
+    Z = np.array(points, complex).T
+    z = (Z.real[:, 0].tolist(), Z.imag[:, 0].tolist()) if len(points) == 1 else (Z.real, Z.imag)
+    return _hook_table(*z, arm, leg)
 
 
 def hook_values(M: int, points) -> list:
     """Rows [s_mu_0(x), ..., s_mu_{N-1}(x)], one per point x, mu_j = hook_partition(M, N, j).
 
-    N is the common length of the points; requires M >= N.  Exact points take
-    the hook expansion s_(a,1^b) = sum_i (-1)^i e_{b-i} h_{a+i} (Macdonald,
-    Symmetric Functions, ch. I) over Gaussian integers; floating points share
-    one stacked Jacobi-Trudi evaluation (:func:`_jacobi_trudi`).
+    N is the common length of the points; requires M >= N.  mu_j is
+    T[M-N+1][N-1-j] of :func:`_hook_table`.  An exact x is scaled to Gaussian
+    integers z = D x, and mu_j's value at z divided once by D^(M - j): a
+    GaussianRational when x has one, else a Fraction, and the Fraction 0 for
+    a vanishing hook with a zero part (j >= 1), as det_exact gives them.
+    Float points share one table; a value is complex only at a point with a
+    complex coordinate.
     """
     points = list(points)
     if not points:
         return []
     N = len(points[0])
-    hooks = [hook_partition(M, N, j) for j in range(N)]
-    float_rows = iter(_jacobi_trudi(hooks, [x for x in points if not all_exact(x)]))
-    return [_exact_hooks(M, N, x) if all_exact(x) else next(float_rows) for x in points]
-
-
-def _exact_hooks(M: int, N: int, x) -> list:
-    """The N hook values at one exact point, from h_0..h_M and e_0..e_{N-1}.
-
-    The point is scaled to Gaussian integers z = D x, so a hook of degree
-    M - j is its value at z divided once by D^(M - j).  Values have the type
-    that det_exact gives for the Jacobi-Trudi matrix: a GaussianRational when
-    x has one, else a Fraction, and the Fraction 0 for a vanishing hook with
-    a zero part (j >= 1: the matrix's first N - 1 columns are then dependent).
-    """
-    if len(x) != N:
-        raise ValueError(f"partition length {N} != point length {len(x)}")
-    (zr,), (zi,), D, gaussian = _gaussian_integer_rows([x])
-    hr, hi = _h_pairs(zr, zi, M)
-    er, ei = [1] + [0] * (N - 1), [0] * N
-    for a, b in zip(zr, zi):
-        # one more variable a + bi: e_k += z e_{k-1}, downwards
-        for k in range(N - 1, 0, -1):
-            er[k], ei[k] = (
-                er[k] + a * er[k - 1] - b * ei[k - 1],
-                ei[k] + a * ei[k - 1] + b * er[k - 1],
-            )
-    arm = M - N + 1
-    row = []
-    for j in range(N):
-        leg = N - 1 - j
-        sr = si = 0
-        for i in range(leg + 1):
-            sign = -1 if i % 2 else 1
-            sr += sign * (er[leg - i] * hr[arm + i] - ei[leg - i] * hi[arm + i])
-            si += sign * (er[leg - i] * hi[arm + i] + ei[leg - i] * hr[arm + i])
-        if j and not (sr or si):
-            row.append(Fraction(0))
-        else:
-            row.append(_rational(sr, si, D ** (M - j), 0, gaussian))
-    return row
+    for x in points:
+        if len(x) != N:
+            raise ValueError(f"partition length {N} != point length {len(x)}")
+    _require_m_ge_n(M, N)
+    arm, rows = M - N + 1, []
+    floats = [x for x in points if not all_exact(x)]
+    if floats:
+        tables = _float_table(floats, arm, N - 1)
+        re, im = (np.reshape(T[arm][::-1], (N, -1)).T.tolist() for T in tables)
+        cx = [any(map(_is_complex, x)) for x in floats]
+        float_rows = iter([*map(complex, r, i)] if c else r for c, r, i in zip(cx, re, im))
+    for x in points:
+        if not all_exact(x):
+            rows.append(next(float_rows))
+            continue
+        (zr,), (zi,), D, gaussian = _gaussian_integer_rows([x])
+        re, im = (T[arm][::-1] for T in _hook_table(zr, zi, arm, N - 1))
+        rows.append([
+            _rational(a, b, D ** (M - j), 0, gaussian) if a or b or not j else Fraction(0)
+            for j, (a, b) in enumerate(zip(re, im))
+        ])
+    return rows
 
 
 def ssyt_count(lam, n: int) -> int:

@@ -193,7 +193,7 @@ def empirical_sharpness(c, M: int, N: int, rho, grid: int) -> float:
     if N == 1:
         # single coordinate: the closed cube corner itself is admissible
         deltas.append(0.0)
-    path = near_corner_path(N, rho**0.5, deltas).tolist()
+    path = near_corner_path(N, rho, deltas).tolist()
     # a NaN value (overflowed hooks) never beats the -inf start
     return max(-np.inf, *_rank_one_values(cs, M, path))
 

@@ -23,7 +23,7 @@ import pytest
 
 from entrywise.backends import GaussianRational, det_exact, solve_exact
 from entrywise.partitions import hook_partition
-from entrywise.schur import complete_homogeneous, hook_values, schur_eval
+from entrywise.schur import hook_values, schur_eval
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
@@ -328,7 +328,11 @@ def reference_schur(parts, x):
     n = len(x)
     if n == 0 or parts[0] == 0:
         return 1
-    h = complete_homogeneous(x, parts[0] + n - 1)
+    kmax = parts[0] + n - 1
+    h = [1] + [0] * kmax  # h_k(x_1..x_m) = h_k(x_1..x_{m-1}) + x_m h_{k-1}(x_1..x_m)
+    for xi in x:
+        for k in range(1, kmax + 1):
+            h[k] = h[k] + xi * h[k - 1]
     rows = [[h[parts[i] - i + j] if parts[i] - i + j >= 0 else 0 for j in range(n)] for i in range(n)]
     return reference_det(rows)
 

@@ -291,21 +291,22 @@ def test_psd_disc_samples_redraw_a_cube_row_with_a_zero(N, zero_calls, count):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def _near_corner_rows(N, root, deltas):
+def _near_corner_rows(N, rho, deltas):
     """near_corner_path one scalar at a time, the formula's reference."""
+    root = np.sqrt(rho)
     return np.array([[root * (1.0 - delta * k / N) for k in range(1, N + 1)] for delta in deltas])
 
 
 @given(
     st.integers(1, 12),
-    st.floats(1e-160, 1e150),
+    st.floats(1e-300, 1e300),
     st.booleans(),
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
 )
-def test_near_corner_path_matches_the_scalar_formula(N, root, numpy_root, deltas):
-    if numpy_root:
-        root = np.float64(root)
-    want = _near_corner_rows(N, root, deltas)
-    got = near_corner_path(N, root, deltas)
+def test_near_corner_path_matches_the_scalar_formula(N, rho, numpy_rho, deltas):
+    if numpy_rho:
+        rho = np.float64(rho)
+    want = _near_corner_rows(N, rho, deltas)
+    got = near_corner_path(N, rho, deltas)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()

@@ -100,6 +100,16 @@ def test_threshold_empirical_close_to_constant(capsys):
     assert abs(rep["results"]["empirical_sharpness"] - 5.0) <= 1e-2
 
 
+def test_threshold_empirical_stays_below_the_constant_at_n_28(capsys):
+    # the Jacobi-Trudi hooks printed 1.456e+21 above the constant 1.104e+21 here
+    code, rep = run_json(
+        capsys, "threshold", "--c", ",".join(["1"] * 28), "--M", "30", "--N", "28",
+        "--rho", "1", "--empirical",
+    )
+    assert code == 0
+    assert rep["results"]["empirical_sharpness"] <= rep["results"]["threshold_constant"]
+
+
 def test_bad_coefficients_exit_3(capsys):
     code, out, err = run(
         capsys, "threshold", "--c", "1,-1", "--M", "2", "--N", "2", "--rho", "1"

@@ -157,7 +157,7 @@ def test_pencil_identity_exact_sweep():
 
 
 def test_pencil_repeated_coordinates_still_agree():
-    # closed form goes through Jacobi-Trudi, which is polynomial in u, v
+    # closed form goes through the hook recurrence, which is polynomial in u, v
     spec = PencilSpec(Fraction(2), (Fraction(1), Fraction(1)), 3)
     u = [Fraction(1), Fraction(1)]
     v = [Fraction(2), Fraction(1)]

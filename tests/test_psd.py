@@ -299,7 +299,7 @@ def test_discontinuity_probe_rows_are_rank_one_values():
         warnings.simplefilter("always")
         probe = discontinuity_probe(c, M, N, 0.8, eps)
         assert len(caught) == 2
-        path = near_corner_path(N, 0.8**0.5, eps).tolist()
+        path = near_corner_path(N, 0.8, eps).tolist()
         rows = tuple((e, rayleigh_rank_one(c, M, u)) for e, u in zip(eps, path))
     assert repr(probe.rows) == repr(rows)
 

@@ -1,10 +1,14 @@
 """Schur evaluation: Jacobi-Trudi route against the SSYT enumeration oracle.
 
-Exact hook values come from e/h sums; ``jacobi_trudi_hooks`` keeps the
-Jacobi-Trudi route they replaced as a reference (repr-identical results
-required).
+Hook values come from the branching recurrence.  At exact points
+``jacobi_trudi_hooks`` keeps the Jacobi-Trudi route as a reference
+(repr-identical results required); float hook values are held to the
+forward error bound 4 (N + M) u s_mu(|x|) against the exact values at the
+same points, u the unit roundoff.
 """
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -13,12 +17,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from entrywise import schur
 from entrywise.backends import GaussianRational
 from entrywise.partitions import Partition, hook_partition
-from entrywise.samplers import random_gaussian_rational_vector
+from entrywise.samplers import near_corner_path, random_gaussian_rational_vector
 from entrywise.schur import (
     EnumerationBudgetError,
-    complete_homogeneous,
+    _hook_table,
     hook_values,
     principal_specialization,
     schur_eval,
@@ -31,6 +36,29 @@ from entrywise.schur import (
 def jacobi_trudi_hooks(M, points):
     """Hook values as one Jacobi-Trudi determinant per hook."""
     return [[schur_eval(hook_partition(M, len(x), j), x) for j in range(len(x))] for x in points]
+
+
+U = Fraction(1, 2**53)  # unit roundoff of a double
+
+
+def _pair(v):
+    """(real, imaginary) parts of a float, complex or exact scalar, as Fractions."""
+    if isinstance(v, GaussianRational):
+        return v.re, v.im
+    v = complex(v)
+    return Fraction(v.real), Fraction(v.imag)
+
+
+def assert_within_hook_bound(M, points, rows):
+    """Each float hook value within 4 (N + M) u s_mu(|x|) of the exact value
+    at the same point, compared exactly (in squares)."""
+    for x, row in zip(points, rows):
+        N = len(x)
+        (exact,) = hook_values(M, [[GaussianRational(*_pair(v)) for v in x]])
+        (scale,) = hook_values(M, [[Fraction(abs(complex(v))) for v in x]])
+        for got, want, s in zip(row, exact, scale):
+            (a, b), (c, d) = _pair(got), _pair(want)
+            assert (a - c) ** 2 + (b - d) ** 2 <= (4 * (N + M) * U * s) ** 2, (M, x, got, want)
 
 
 def _exact_points(rng, kind, N):
@@ -65,8 +93,12 @@ def test_frozen_values():
 
 
 def test_complete_homogeneous_recurrence():
-    h = complete_homogeneous([Fraction(2), Fraction(3)], 3)
-    assert h == [1, 5, 19, 65]
+    # column 0 of the branching table holds h_0..h_3 at (2, 3), and
+    # Jacobi-Trudi reads its h values from there
+    h = [1, 5, 19, 65]
+    real, imag = _hook_table([2, 3], [0, 0], 3, 0)
+    assert [row[0] for row in real] == h and [row[0] for row in imag] == [0] * 4
+    assert [schur_eval(Partition((k, 0)), [Fraction(2), Fraction(3)]) for k in range(4)] == h
 
 
 def test_vandermonde():
@@ -182,8 +214,48 @@ def test_hook_values_float_rows_match_one_point_calls():
     points = np.random.default_rng(3).uniform(0.1, 1.0, size=(5, 3)).tolist()
     rows = hook_values(5, points)
     assert rows == [hook_values(5, [x])[0] for x in points]
-    assert rows[2] == [schur_eval(hook_partition(5, 3, j), points[2]) for j in range(3)]
+    assert_within_hook_bound(5, points[2:3], rows[2:3])
     assert hook_values(5, []) == []
+
+
+def test_hook_values_make_no_jacobi_trudi_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hook_values reached _jacobi_trudi")
+
+    monkeypatch.setattr(schur, "_jacobi_trudi", refuse)
+    points = [[0.5, 0.25, 0.125], [1, Fraction(1, 2), 3], [0.5j, 1.0, 2.0]]
+    assert len(hook_values(6, points)) == 3
+    assert len(hook_values(6, points[:1])) == 1
+
+
+@pytest.mark.parametrize("N", range(3, 25))
+def test_float_hooks_on_the_near_corner_ladder_are_accurate(N):
+    # Jacobi-Trudi lost every digit here from N = 24 on (relative error 1e-7
+    # at N = 12); the branching recurrence subtracts nothing at positive points
+    points = near_corner_path(N, 1.0, [2.0 ** (-k) for k in range(1, 49)]).tolist()
+    for M in (N, N + 6):
+        exact = hook_values(M, [[Fraction(v) for v in x] for x in points])
+        for x, row, want in zip(points, hook_values(M, points), exact):
+            for a, b in zip(row, want):
+                assert abs(Fraction(a) - b) <= 4 * (N + M) * U * b, (N, M, x)
+
+
+@given(
+    st.integers(1, 14).flatmap(
+        lambda N: st.tuples(
+            st.integers(N, N + 8),
+            st.lists(
+                # radii away from the subnormal range, where no relative bound holds
+                st.tuples(st.floats(1e-3, 1.0), st.floats(-math.pi, math.pi)),
+                min_size=N, max_size=N,
+            ),
+        )
+    )
+)
+def test_complex_hooks_in_the_unit_disc_are_within_the_forward_bound(case):
+    M, polar = case
+    points = [[cmath.rect(r, t) for r, t in polar]]
+    assert_within_hook_bound(M, points, hook_values(M, points))
 
 
 @pytest.mark.parametrize("kind", ["int", "fraction", "gaussian", "mixed"])

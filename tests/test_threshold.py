@@ -241,6 +241,15 @@ def test_empirical_sharpness_desk_case():
     assert est <= 5.0 + 1e-9  # approaches from below
 
 
+@pytest.mark.parametrize("N, M", [(16, 20), (20, 22), (24, 30), (28, 30), (32, 40)])
+def test_empirical_sharpness_stays_below_the_exact_constant(N, M):
+    # float hook values by Jacobi-Trudi determinants overshot C here, by a
+    # relative 1e-10 at N = 16 and 1.2e4 at N = 32
+    C = threshold_constant((1,) * N, M, N, 1)
+    assert type(C) is Fraction
+    assert Fraction(empirical_sharpness((1,) * N, M, N, 1, 48)) <= C
+
+
 def test_empirical_sharpness_m_less_than_n():
     # M = 1 < N = 3: exactly 1/c_1
     assert empirical_sharpness((1.0, 2.0, 4.0), 1, 3, 1.0, grid=10) == 0.5
@@ -259,7 +268,7 @@ def ref_empirical_sharpness(c, M, N, rho, grid):
         deltas.append(0.0)
     cf = [float(cj) for cj in cs]
     best = -np.inf
-    for row in hook_values(M, near_corner_path(N, float(rho) ** 0.5, deltas).tolist()):
+    for row in hook_values(M, near_corner_path(N, float(rho), deltas).tolist()):
         best = max(best, sum(float(s) ** 2 / cj for s, cj in zip(row, cf)))
     return float(best)
 
