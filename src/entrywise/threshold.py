@@ -17,9 +17,9 @@ import numpy as np
 
 from . import spectral
 from .backends import is_exact
-from .hadamard import _require_exponent, coefficients, entrywise_poly, h_matrix, hadamard_power
+from .hadamard import _require_exponent, coefficients, entrywise_poly
 from .partitions import _require_m_ge_n, hook_dimension
-from .psd import _rank_one_values, psd_check
+from .psd import _rank_one_values
 from .samplers import _disc_radius, _outer_rows, near_corner_path, psd_disc_batches
 
 BOUNDARY_WIDTH = 1e-12
@@ -265,7 +265,9 @@ def _cross_dim_sides(c, M: int, N: int, rho) -> tuple:
 
 
 def _loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
-    """(A, float coefficients, sharp constant C) of the two Loewner checks.
+    """(H, float coefficients, sharp constant C) of the two Loewner checks, H
+    the Hermitian part of A that its one validation returns (the memo's own
+    read-only array, see ``spectral``).
 
     Checks, in this order: A square, the coefficients, A PSD with entries in
     the closed disc of radius rho.  With ``refine`` it adds the hypotheses of
@@ -279,7 +281,7 @@ def _loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
     cs = coefficients(c, N)
     if refine:
         _require_m_ge_n(M, N)
-    spectral.require_psd(A, tol)
+    H = spectral.require_psd(A, tol)
     peak = float(np.max(np.abs(A)))
     if peak > float(rho) * (1.0 + 1e-9) + tol:
         raise ValueError(f"entries exceed the closed disc of radius {rho}")
@@ -291,13 +293,49 @@ def _loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
     # a float term over a Fraction c_j is float(term) / float(c_j) in Fraction's
     # own division, so with a float rho the float coefficients give the same constant
     fcs = [float(x) for x in cs]
-    return A, fcs, float(_threshold_constant(fcs if isinstance(rho, float) else cs, M, N, rho))
+    return H, fcs, float(_threshold_constant(fcs if isinstance(rho, float) else cs, M, N, rho))
+
+
+def _horner(cs, H: np.ndarray) -> np.ndarray:
+    """h_c[H] = sum_j cs[j] H^(oj) by Horner's rule on the float coefficients:
+    a fresh complex array, two in-place passes per degree."""
+    F = np.full(H.shape, cs[-1], dtype=complex)
+    for x in cs[-2::-1]:
+        F *= H
+        F += x
+    return F
+
+
+def _loewner_difference(cs, M: int, C: float, H: np.ndarray, refine: bool) -> np.ndarray:
+    """C h_c[H] - H^(oM), or h_c[H] - H^(oM) / C with ``refine``, for the
+    Hermitian part H of :func:`_loewner_inputs` (h_c by :func:`_horner`, on
+    the coefficients times C without ``refine``).
+
+    Every entrywise step maps conj(z) to the conjugate of its value at z, so
+    the difference is Hermitian, as H is.  An entry that overflows raises
+    ValueError, without a numpy warning.
+    """
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, rejected below
+        F = _horner(cs if refine else [C * x for x in cs], H)
+        F -= H**M / C if refine else H**M
+    if not np.isfinite(F).all():
+        raise ValueError("matrix has a non-finite entry")
+    return F
 
 
 def lmi_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
-    """Loewner inequality A^(oM) <= C * sum_j c_j A^(oj) at the sharp constant."""
-    A, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=False)
-    return psd_check(C * np.asarray(h_matrix(cs, A)) - hadamard_power(A, M), tol)
+    """Loewner inequality A^(oM) <= C * sum_j c_j A^(oj) at the sharp constant.
+
+    A is validated once (:func:`_loewner_inputs`), and the inequality is
+    decided on its Hermitian part H: F = C h_c[H] - H^(oM) is built by
+    Horner's rule and must be PSD within tol (the test of
+    ``spectral.psd_verdict``, Cholesky certificate included).  F needs no
+    Hermitian check of its own: it is Hermitian by construction, and both
+    the certificate and the eigen-solve read its lower triangle alone.  The
+    validation memo keeps A, not F.
+    """
+    H, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=False)
+    return spectral._decide(_loewner_difference(cs, M, C, H, refine=False), tol) is None
 
 
 def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
@@ -305,9 +343,12 @@ def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> boo
 
     Requires N > 1 and some row of A with pairwise distinct entries (in
     particular A != rho * all-ones); under that hypothesis the boundary
-    polynomial sends A to a positive definite matrix, not merely PSD.
+    polynomial sends A to a positive definite matrix, not merely PSD.  As in
+    :func:`lmi_check`, A is validated once and the difference
+    h_c[H] - H^(oM) / C is built by Horner's rule from its Hermitian part H;
+    the strict test asks the smallest eigenvalue, which must exceed
+    tol * max(1, spectral radius).
     """
-    A, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=True)
-    F = np.asarray(h_matrix(cs, A)) - hadamard_power(A, M) / C
-    w_min, scale, _ = spectral.psd_failures(F, tol)
+    H, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=True)
+    w_min, scale, _ = spectral.psd_failures(_loewner_difference(cs, M, C, H, refine=True), tol)
     return bool(w_min > tol * scale)

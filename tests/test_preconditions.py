@@ -7,6 +7,7 @@ from the row's JSON where the argument list says MATRIX.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,9 @@ ROWS = [
       "--budget", "100"]),
     ("pd-refinement-overflow", lambda: pd_refinement_check((1e308, 1e308), 2, 1.0, HALF),
      ValueError, "matrix has a non-finite entry", None),
+    # C = 1/5e-324 overflows to inf, and C h_c[A] - A^(o2) with it
+    ("lmi-overflow", lambda: lmi_check((5e-324, 1.0), 2, 1.0, HALF), ValueError,
+     "matrix has a non-finite entry", None),
     # hadamard
     ("pencil-coefficients", lambda: PencilSpec(1, (), 2), ValueError,
      "at least one pencil coefficient required", None),
@@ -237,6 +241,15 @@ ROWS = [
 def test_precondition_raises(call, kind, message):
     with np.errstate(all="ignore"), pytest.raises(kind, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("row", ["lmi-overflow", "pd-refinement-overflow"])
+def test_loewner_overflow_raises_without_a_warning(row):
+    call, kind, message = next(r[1:4] for r in ROWS if r[0] == row)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            call()
 
 
 CLI_ROWS = [(r[0], r[3], r[4]) for r in ROWS if r[4] is not None]

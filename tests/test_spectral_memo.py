@@ -27,6 +27,7 @@ from entrywise.strata import (
     stratify,
     verify_offdiagonal_structure,
 )
+from entrywise.threshold import lmi_check
 
 # block sizes of the strata benchmark at each N
 PATTERNS = {8: (1, 2, 2, 2, 1), 24: (1, 2, 4, 4, 4, 4, 4, 1), 80: (3, 7, 13, 13, 13, 13, 14, 4)}
@@ -303,3 +304,15 @@ def test_generating_and_probing_keep_the_callers_entry(monkeypatch):
     strata.closure_probe(IndexPartition(((0, 1, 2),)), IndexPartition(((0, 1), (2,))), 3)
     assert spectral.require_psd(A3, 1e-9) is H
     assert (count.hermitian, count.eigvalsh) == (0, 0)
+
+
+def test_loewner_check_keeps_its_matrix(monkeypatch):
+    # lmi_check validates A once and decides C h_c[H] - H^(oM) without the
+    # memo, so A stays its entry: checking or stratifying A next costs no solve
+    A = _stratum_matrix(8, GroupTag.TRIVIAL, 0)
+    c = tuple(1.0 + j / 8 for j in range(8))
+    assert lmi_check(c, 9, 1.0, A)
+    count = _Count(monkeypatch)
+    assert psd_check(A)
+    stratify(A, GroupTag.TRIVIAL)
+    assert (count.hermitian, count.eigvalsh, count.cholesky) == (0, 0, 0)
