@@ -120,8 +120,26 @@ def entrywise_poly(coeffs: Mapping[int, object], A):
 
 
 def h_matrix(coeffs_ascending, A):
-    """sum_j c_j A^(oj) for dense coefficients c_0..c_{d}."""
-    return entrywise_poly(dict(enumerate(coeffs_ascending)), A)
+    """sum_j c_j A^(oj) for dense coefficients c_0..c_{d}.
+
+    Floating input is evaluated by Horner's rule, F = c_d, then F *= A and
+    F += c_j down to j = 0: two in-place passes per degree on one complex
+    array, which comes back real when A and every coefficient are real.
+    Its bits differ from :func:`entrywise_poly`'s ascending sum, by
+    rounding of order d u sum_j |c_j| |a|^j per entry.  Exact input, and no
+    coefficients, go through :func:`entrywise_poly`.
+    """
+    cs = list(coeffs_ascending)
+    X = _matrix(A)
+    if X.dtype == object or not cs:
+        return entrywise_poly(dict(enumerate(cs)), A)
+    F = np.full(X.shape, complex(cs[-1]))
+    for x in cs[-2::-1]:
+        F *= X
+        F += complex(x)
+    if not np.iscomplexobj(X) and not any(isinstance(x, complex) for x in cs):
+        return F.real
+    return F
 
 
 def _h_hermitian(coeffs_ascending, H: np.ndarray) -> np.ndarray:
@@ -129,9 +147,10 @@ def _h_hermitian(coeffs_ascending, H: np.ndarray) -> np.ndarray:
     spectral.hermitian_part returns it), from its upper triangle alone.
 
     The entrywise products and sums of conj(z) are the conjugates of those
-    of z, and a sum that starts from +0 never ends in -0, so h_matrix on the
-    whole of H gives, bit for bit, v on and above the diagonal and
-    conj(v) + 0 (a zero imaginary part as +0) below it.
+    of z, and Horner's last step adds the real c_0 + 0j, which leaves no
+    imaginary part at -0, so h_matrix on the whole of H gives, bit for bit,
+    v on and above the diagonal and conj(v) + 0 (a zero imaginary part as
+    +0) below it.
     """
     upper, lower = _triangle(H.shape[0])
     v = h_matrix(coeffs_ascending, H.take(upper))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import spectral
 from .backends import is_exact
-from .hadamard import _require_exponent, coefficients, entrywise_poly
+from .hadamard import _require_exponent, coefficients, entrywise_poly, h_matrix
 from .partitions import _require_m_ge_n, hook_dimension
 from .psd import _rank_one_values
 from .samplers import _disc_radius, _outer_rows, near_corner_path, psd_disc_batches
@@ -296,28 +296,9 @@ def _loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
     return H, fcs, float(_threshold_constant(fcs if isinstance(rho, float) else cs, M, N, rho))
 
 
-def _horner(cs, H: np.ndarray) -> np.ndarray:
-    """h_c[H] = sum_j cs[j] H^(oj) by Horner's rule on the float coefficients:
-    a fresh complex array, two in-place passes per degree."""
-    F = np.full(H.shape, cs[-1], dtype=complex)
-    for x in cs[-2::-1]:
-        F *= H
-        F += x
-    return F
-
-
-def _loewner_difference(cs, M: int, C: float, H: np.ndarray, refine: bool) -> np.ndarray:
-    """C h_c[H] - H^(oM), or h_c[H] - H^(oM) / C with ``refine``, for the
-    Hermitian part H of :func:`_loewner_inputs` (h_c by :func:`_horner`, on
-    the coefficients times C without ``refine``).
-
-    Every entrywise step maps conj(z) to the conjugate of its value at z, so
-    the difference is Hermitian, as H is.  An entry that overflows raises
-    ValueError, without a numpy warning.
-    """
-    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, rejected below
-        F = _horner(cs if refine else [C * x for x in cs], H)
-        F -= H**M / C if refine else H**M
+def _finite(F: np.ndarray) -> np.ndarray:
+    """F, the Loewner difference of a check, which must have no inf or NaN
+    entry (an overflow); raises ValueError otherwise."""
     if not np.isfinite(F).all():
         raise ValueError("matrix has a non-finite entry")
     return F
@@ -327,15 +308,18 @@ def lmi_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
     """Loewner inequality A^(oM) <= C * sum_j c_j A^(oj) at the sharp constant.
 
     A is validated once (:func:`_loewner_inputs`), and the inequality is
-    decided on its Hermitian part H: F = C h_c[H] - H^(oM) is built by
-    Horner's rule and must be PSD within tol (the test of
+    decided on its Hermitian part H: F = C h_c[H] - H^(oM), with h_c by
+    ``h_matrix`` (Horner's rule) and C applied after it, so F overflows only
+    where C h_c[H] does, must be PSD within tol (the test of
     ``spectral.psd_verdict``, Cholesky certificate included).  F needs no
     Hermitian check of its own: it is Hermitian by construction, and both
     the certificate and the eigen-solve read its lower triangle alone.  The
     validation memo keeps A, not F.
     """
     H, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=False)
-    return spectral._decide(_loewner_difference(cs, M, C, H, refine=False), tol) is None
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, which _finite rejects
+        F = C * h_matrix(cs, H) - H**M
+    return spectral._decide(_finite(F), tol) is None
 
 
 def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
@@ -345,10 +329,12 @@ def pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> boo
     particular A != rho * all-ones); under that hypothesis the boundary
     polynomial sends A to a positive definite matrix, not merely PSD.  As in
     :func:`lmi_check`, A is validated once and the difference
-    h_c[H] - H^(oM) / C is built by Horner's rule from its Hermitian part H;
+    h_c[H] - H^(oM) / C is built from its Hermitian part H;
     the strict test asks the smallest eigenvalue, which must exceed
     tol * max(1, spectral radius).
     """
     H, cs, C = _loewner_inputs(c, M, rho, A, tol, refine=True)
-    w_min, scale, _ = spectral.psd_failures(_loewner_difference(cs, M, C, H, refine=True), tol)
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, which _finite rejects
+        F = h_matrix(cs, H) - H**M / C
+    w_min, scale, _ = spectral.psd_failures(_finite(F), tol)
     return bool(w_min > tol * scale)

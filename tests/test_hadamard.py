@@ -93,8 +93,32 @@ def test_entrywise_poly_float_within_rounding_bound_of_exact(kind):
     assert worst <= 1.0, worst
 
 
+@pytest.mark.parametrize("kind", ["float", "complex"])
+def test_h_matrix_horner_within_rounding_bound_of_exact(kind):
+    # Horner's rule on dense signed coefficients: every entry within the same
+    # 2 (d + 1) 2^-52 sum_k |c_k| |x|^k of the exact value as the ascending sum
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(75):
+        N = int(rng.integers(1, 5))
+        A = rng.standard_normal((N, N)) * rng.choice([0.5, 1.0, 1.5])
+        if kind == "complex":
+            A = A + 1j * rng.standard_normal((N, N))
+        cs = [float(x) for x in rng.uniform(-2, 2, int(rng.integers(1, 17)))]
+        F = h_matrix(cs, A)
+        assert np.iscomplexobj(F) == (kind == "complex")
+        unit = 2 * len(cs) * 2.0**-52
+        for (i, j), z in np.ndenumerate(A):
+            re, im = _exact_poly_entry(dict(enumerate(cs)), complex(z))
+            got = complex(F[i, j])
+            err = abs(complex(float(Fraction(got.real) - re), float(Fraction(got.imag) - im)))
+            scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(cs))
+            worst = max(worst, err / (unit * scale))
+    assert worst <= 1.0, worst
+
+
 def test_h_matrix_traced_peak_stays_a_few_matrices():
-    # the running power, one term and the sum: no list of all N powers
+    # Horner's one running array: no list of all N powers
     N = 80
     rng = np.random.default_rng(4)
     A = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / 4

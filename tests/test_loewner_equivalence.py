@@ -2,10 +2,11 @@
 
 ``threshold.lmi_check`` and ``threshold.pd_refinement_check`` validate A
 once and build their Loewner difference from its Hermitian part H, with h_c
-by Horner's rule; ``lmi_check`` then decides the difference without a second
-validation.  The references below are the earlier routes, copied verbatim
-(names prefixed ``ref_``): they evaluated h_c on the raw A by
-``h_matrix`` and, in ``lmi_check``, validated the difference through
+by ``h_matrix``, which evaluates floats by Horner's rule; ``lmi_check`` then
+decides the difference without a second validation.  The references below
+are the earlier routes, copied verbatim (names prefixed ``ref_``): they
+evaluated h_c on the raw A by the ascending sum that ``h_matrix`` was then
+(``ref_h_matrix``) and, in ``lmi_check``, validated the difference through
 ``psd_check``.  The float bits of the difference differ, so only outcomes are
 compared: the same boolean, or the same exception type and message.  The one
 intended change is pinned at the end: the reference could raise "not
@@ -13,19 +14,18 @@ Hermitian within tolerance" about the difference when A was Hermitian only
 within tol; the check now decides A's Hermitian part.
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from entrywise import spectral
-from entrywise.hadamard import coefficients, h_matrix, hadamard_power
+from entrywise import spectral, threshold
+from entrywise.hadamard import coefficients, entrywise_poly, hadamard_power
 from entrywise.partitions import _require_m_ge_n
 from entrywise.psd import psd_check
 from entrywise.samplers import NEAR_CORNER_DELTAS, near_corner_path, psd_disc_samples
 from entrywise.threshold import (
-    _horner,
-    _loewner_difference,
     _threshold_constant,
     lmi_check,
     pd_refinement_check,
@@ -39,9 +39,15 @@ DRAWS = 60
 # the sampler's ladder, then a nested geometric one down to 2^-48
 LADDER = NEAR_CORNER_DELTAS + tuple(2.0 ** (-k) for k in range(1, 49))
 U = float(np.finfo(float).eps) / 2
+SHARP = _threshold_constant
 
 
 # --- references ---------------------------------------------------------------
+
+
+def ref_h_matrix(coeffs_ascending, A):
+    """sum_j c_j A^(oj) for dense coefficients c_0..c_{d}."""
+    return entrywise_poly(dict(enumerate(coeffs_ascending)), A)
 
 
 def ref_loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
@@ -77,7 +83,7 @@ def ref_loewner_inputs(c, M: int, rho, A: np.ndarray, tol: float, refine: bool):
 def ref_lmi_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
     """Loewner inequality A^(oM) <= C * sum_j c_j A^(oj) at the sharp constant."""
     A, cs, C = ref_loewner_inputs(c, M, rho, A, tol, refine=False)
-    return psd_check(C * np.asarray(h_matrix(cs, A)) - hadamard_power(A, M), tol)
+    return psd_check(C * np.asarray(ref_h_matrix(cs, A)) - hadamard_power(A, M), tol)
 
 
 def ref_pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
@@ -88,7 +94,7 @@ def ref_pd_refinement_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) ->
     polynomial sends A to a positive definite matrix, not merely PSD.
     """
     A, cs, C = ref_loewner_inputs(c, M, rho, A, tol, refine=True)
-    F = np.asarray(h_matrix(cs, A)) - hadamard_power(A, M) / C
+    F = np.asarray(ref_h_matrix(cs, A)) - hadamard_power(A, M) / C
     w_min, scale, _ = spectral.psd_failures(F, tol)
     return bool(w_min > tol * scale)
 
@@ -150,77 +156,89 @@ def test_near_corner_verdicts_match_the_references(N, rho, tol):
                 _assert_same(BOTH, c, M, rho, np.outer(u, u), tol)
 
 
+# --- overflow -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "c,M,rho,A",
+    [
+        # C ~ 1e300: C c_1 overflows, but C h_c[A] peaks near 1e305
+        ((1e-300, 1e10), 2, 1.0, 1e-5 * np.eye(2)),
+        # ordinary coefficients at a large radius: C c_1 overflows, C h_c[A] does not
+        ((1.0, 1000.0), 16, 1e19, 1e-3 * np.eye(2)),
+    ],
+)
+def test_a_constant_that_overflows_a_coefficient_decides_as_the_reference(c, M, rho, A):
+    C = float(threshold_constant(c, M, 2, rho))
+    assert np.isinf(C * max(c)) and np.isfinite(C * ref_h_matrix(c, A)).all()
+    assert _outcome(lmi_check, c, M, rho, A) == _outcome(ref_lmi_check, c, M, rho, A) == True
+
+
 # --- the difference -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("N", NS)
-def test_horner_is_within_its_bound_of_h_matrix(N):
-    # Horner's rule and h_matrix's ascending sum round differently, but entry by
-    # entry by no more than (2N + 2) u sum_j c_j |z|^j
-    rng = np.random.default_rng(N)
-    for rho in RHOS:
-        for A in psd_disc_samples(N, rho, DRAWS, rng):
-            H = spectral.hermitian_part(np.asarray(A, dtype=complex))
-            for c in _coefficient_sets(N, 2):
-                cs = [float(x) for x in c]
-                h = _horner(cs, H)
-                bound = (2 * N + 2) * U * sum(x * np.abs(H) ** j for j, x in enumerate(cs))
-                assert (np.abs(h - h_matrix(cs, H)) <= bound).all()
+def _captured(monkeypatch, name):
+    """The matrices that each later call of spectral.<name> receives."""
+    seen, run = [], getattr(spectral, name)
+    monkeypatch.setattr(spectral, name, lambda F, tol: seen.append(F) or run(F, tol))
+    return seen
 
 
-def test_horner_of_one_coefficient_is_a_fresh_constant_array():
-    H = spectral.require_psd(np.eye(2), 1e-9)
-    h = _horner([3.0], H)
-    assert h.dtype == complex and np.array_equal(h, np.full((2, 2), 3.0))
-    h[0, 0] = 0.0  # writable, and not H
-
-
-def test_the_difference_is_exactly_hermitian():
+def test_the_difference_is_exactly_hermitian(monkeypatch):
+    decided, failures = _captured(monkeypatch, "_decide"), _captured(monkeypatch, "psd_failures")
     rng = np.random.default_rng(11)
     for N in NS:
+        c = (1.0, 0.5, 2.0, 1.0, 3.0, 0.25)[:N]
         for A in psd_disc_samples(N, 1.0, 20, rng):
-            H = spectral.hermitian_part(np.asarray(A, dtype=complex))
-            for refine in (False, True):
-                F = _loewner_difference([1.0, 0.5, 2.0, 1.0, 3.0, 0.25][:N], N + 1, 7.5, H, refine)
-                assert np.array_equal(F, F.conj().T)
+            spectral.clear_memo()
+            assert lmi_check(c, N + 1, 1.0, A)
+            pd_refinement_check(c, N + 1, 1.0, A)
+    # the validation of A decides its H too, which is Hermitian as well
+    assert len(decided) >= 2 * len(failures) > 0
+    for F in decided + failures:
+        assert np.array_equal(F, F.conj().T)
+
+
+def _scaled_constant(monkeypatch, factor):
+    """Both routes at factor times the sharp constant."""
+    scaled = lambda *args: factor * SHARP(*args)  # noqa: E731
+    monkeypatch.setattr(threshold, "_threshold_constant", scaled)
+    monkeypatch.setattr(sys.modules[__name__], "_threshold_constant", scaled)
 
 
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("N", NS)
-def test_a_smaller_constant_decides_alike_but_at_rounding_ties(N, tol):
+def test_a_smaller_constant_decides_alike_but_at_rounding_ties(monkeypatch, N, tol):
     # Below C the inequality breaks near the corner (test_threshold's C/2
     # construction), so the decision can fall anywhere.  The two differences
     # round differently, so where the reference's smallest eigenvalue lies
     # within rounding of the cut -tol * scale either verdict is right; the
     # decisions must agree everywhere else.
-    for c in _coefficient_sets(N, 3):
-        cs = [float(x) for x in c]
-        for rho in RHOS:
-            for M in (N, N + 2):
-                C = float(threshold_constant(c, M, N, rho))
-                for u in near_corner_path(N, rho, LADDER):
-                    A = np.outer(u, u)
-                    H = spectral.require_psd(A, tol)
-                    for factor in (0.5, 0.9, 0.999, 1.0):
-                        R = factor * C * h_matrix(cs, A) - hadamard_power(A, M)
-                        F = _loewner_difference(cs, M, factor * C, H, refine=False)
-                        if (spectral._decide(F, tol) is None) != psd_check(R, tol):
+    for factor in (0.5, 0.9, 0.999, 1.0):
+        _scaled_constant(monkeypatch, factor)
+        for c in _coefficient_sets(N, 3):
+            for rho in RHOS:
+                for M in (N, N + 2):
+                    for u in near_corner_path(N, rho, LADDER):
+                        A = np.outer(u, u)
+                        if lmi_check(c, M, rho, A, tol) != ref_lmi_check(c, M, rho, A, tol):
+                            _, cs, C = ref_loewner_inputs(c, M, rho, A, tol, False)
+                            R = C * ref_h_matrix(cs, A) - hadamard_power(A, M)
                             w = np.linalg.eigvalsh(spectral.hermitian_part(R))
                             scale = max(1.0, float(np.abs(w).max()))
                             tie = 16 * N * N * U * scale
                             assert abs(w[0] + tol * scale) <= tie
 
 
-def test_half_the_constant_decides_as_the_reference():
+def test_half_the_constant_decides_as_the_reference(monkeypatch):
     # test_threshold's construction, strictly: at C/2 the inequality breaks on the path
+    _scaled_constant(monkeypatch, 0.5)
     c = (1.0, 1.0)
-    C = float(threshold_constant(c, 2, 2, 1.0))
     decisions = set()
     for u in near_corner_path(2, 1.0, NEAR_CORNER_DELTAS):
         A = np.outer(u, u)
-        H = spectral.require_psd(A, 1e-9)
-        new = spectral._decide(_loewner_difference(c, 2, C / 2, H, False), 1e-9) is None
-        assert new == psd_check(0.5 * C * h_matrix(c, A) - hadamard_power(A, 2), 1e-9)
+        new = lmi_check(c, 2, 1.0, A)
+        assert new == ref_lmi_check(c, 2, 1.0, A)
         decisions.add(new)
     assert decisions == {False, True}
 
