@@ -105,8 +105,8 @@ def _rayleigh_inputs(c: Sequence, M: int, A, tol: float):
 def _h(cs: tuple, H: np.ndarray) -> np.ndarray:
     """h_c[H] for the exactly Hermitian H, which must be finite (its
     eigenvalues would be NaN), kept with H while H is the validation memo's
-    matrix (spectral.derived); keyed by the coefficients as entrywise_poly
-    uses them."""
+    matrix (spectral.derived); keyed by the coefficients as h_matrix uses
+    them."""
     return spectral.derived(H, ("h", tuple(complex(x) for x in cs)), _finite_h, cs, H)
 
 
