@@ -308,10 +308,10 @@ def lmi_check(c, M: int, rho, A: np.ndarray, tol: float = 1e-9) -> bool:
     """Loewner inequality A^(oM) <= C * sum_j c_j A^(oj) at the sharp constant.
 
     A is validated once (:func:`_loewner_inputs`), and the inequality is
-    decided on its Hermitian part H: F = C h_c[H] - H^(oM), with h_c by
-    ``h_matrix`` (Horner's rule) and C applied after it, so F overflows only
-    where C h_c[H] does, must be PSD within tol (the test of
-    ``spectral.psd_verdict``, Cholesky certificate included).  F needs no
+    decided on its Hermitian part H: F = C h_c[H] - H^(oM) must be PSD
+    within tol (the test of ``spectral.psd_verdict``, Cholesky certificate
+    included).  h_c is ``h_matrix`` (Horner's rule) and C multiplies it
+    afterwards, so F overflows only where C h_c[H] does.  F needs no
     Hermitian check of its own: it is Hermitian by construction, and both
     the certificate and the eigen-solve read its lower triangle alone.  The
     validation memo keeps A, not F.
