@@ -95,7 +95,7 @@ def _rayleigh_inputs(c: Sequence, M: int, A, tol: float):
     finite; the two arrays are kept with H while H is the validation memo's
     matrix (spectral.derived), so a repeat call checks neither again."""
     H = spectral.require_psd(A, tol)
-    if np.max(np.abs(H)) == 0.0:
+    if np.abs(H).max() == 0.0:
         raise ValueError("zero matrix has no Rayleigh constant")
     hc = _h(coefficients(c, H.shape[0]), H)
     AM = spectral.derived(H, ("power", M), _finite_power, H, M)
@@ -111,14 +111,16 @@ def _h(cs: tuple, H: np.ndarray) -> np.ndarray:
 
 
 def _finite_h(cs: tuple, H: np.ndarray) -> np.ndarray:
-    hc = _h_hermitian(cs, H)
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, rejected below
+        hc = _h_hermitian(cs, H)
     if not np.isfinite(hc).all():
         raise ValueError("matrix has a non-finite eigenvalue")
     return hc
 
 
 def _finite_power(H: np.ndarray, M: int) -> np.ndarray:
-    AM = hadamard_power(H, M)
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, rejected below
+        AM = hadamard_power(H, M)
     if not np.isfinite(AM).all():
         raise ValueError("A^(oM) has a non-finite entry")
     return AM
@@ -167,10 +169,13 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     The simultaneous kernel is taken from the stratification of A (block
     structure, not a borderline numerical rank decision); its orthogonal
     complement is spanned by normalized block indicators, and the quotient
-    restricted there is a generalized Hermitian eigenproblem.
+    restricted there is a generalized Hermitian eigenproblem.  That pair
+    (A^(oM) and h_c[A] compressed to the complement) is solved by LAPACK's
+    ``zhegvd`` (:func:`_pair_eigh`) with the two checks of
+    ``scipy.linalg.eigh``: a non-finite compressed form raises ValueError
+    before LAPACK runs, and a failed solve raises LinAlgError (the first
+    one is retried on the range of the compressed h_c[A]).
     """
-    import scipy.linalg  # here, so that importing the package leaves scipy unloaded
-
     A, hc, AM = _rayleigh_inputs(c, M, A, tol)
     N = A.shape[0]
     pi = strata._stratify(A, strata.GroupTag.TRIVIAL, tol)
@@ -178,23 +183,43 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     cols = np.repeat(np.arange(len(sizes)), sizes)  # block of each listed index
     Q = np.zeros((N, len(sizes)), dtype=complex)
     Q[[i for block in pi.blocks for i in block], cols] = (1.0 / np.sqrt(sizes))[cols]
-    Ap = spectral.hermitian_part(Q.conj().T @ AM @ Q)
-    Hp = spectral.hermitian_part(Q.conj().T @ hc @ Q)
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, which _pair_eigh rejects
+        Ap = spectral.hermitian_part(Q.conj().T @ AM @ Q)
+        Hp = spectral.hermitian_part(Q.conj().T @ hc @ Q)
     try:
-        w, W = scipy.linalg.eigh(Ap, Hp)
+        w, W = _pair_eigh(Ap, Hp)
     except np.linalg.LinAlgError:
         # On strata of the other groups the trivial-group block indicators
         # can span joint-kernel directions, which makes Hp singular: solve on
         # the range of Hp.
         wh, Vh = np.linalg.eigh(Hp)
         R = Vh[:, ~spectral.kernel_mask(wh, tol)]
-        w, W = scipy.linalg.eigh(
+        w, W = _pair_eigh(
             spectral.hermitian_part(R.conj().T @ Ap @ R),
             spectral.hermitian_part(R.conj().T @ Hp @ R),
         )
         Q = Q @ R
     idx = int(np.argmax(w))
     return RayleighResult(float(w[idx]), _unit(Q @ W[:, idx]), "variational")
+
+
+def _pair_eigh(Ap: np.ndarray, Bp: np.ndarray):
+    """(w, W) of the Hermitian definite pair Ap x = w Bp x: the one
+    ``zhegvd`` call (itype 1, jobz "V", lower triangle, inputs copied) that
+    ``scipy.linalg.eigh(Ap, Bp)`` makes for complex input with its default
+    driver, so the same bits, without the wrapper, which costs more than
+    LAPACK on small pairs.  Its two checks stay: a non-finite entry, which
+    LAPACK would turn into a silent value, raises ValueError, and a nonzero
+    info (Bp not positive definite, or no convergence) LinAlgError.
+    """
+    from scipy.linalg import lapack  # here, so that importing the package leaves scipy unloaded
+
+    if not (np.isfinite(Ap).all() and np.isfinite(Bp).all()):
+        raise ValueError("compressed Rayleigh pair has a non-finite entry")
+    w, W, info = lapack.zhegvd(Ap, Bp, uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"generalized eigenproblem failed: zhegvd info {info}")
+    return w, W
 
 
 def discontinuity_probe(

@@ -162,7 +162,7 @@ def _decide(H, tol: float):
     n = H.shape[0]
     if tol >= CERTIFY_GUARD * n * n * _EPS:
         G = H.copy()
-        G.flat[:: n + 1] += tol * max(1.0, float(H.diagonal().real.max())) / 2
+        G.reshape(-1)[:: n + 1] += tol * max(1.0, *H.real.diagonal().tolist()) / 2
         try:
             np.linalg.cholesky(G)
             return None

@@ -333,7 +333,7 @@ def _stratify(H, group: GroupTag, tol: float) -> IndexPartition:
 def _partition(H, group: GroupTag, tol: float) -> IndexPartition:
     """The maximal partition of stratify, on a validated Hermitian part H."""
     N = H.shape[0]
-    scale = float(np.max(np.abs(H)))
+    scale = float(np.abs(H).max())
     if scale == 0.0:
         return single_block_partition(N)
     related = _related(H, group, tol, scale)
@@ -364,7 +364,7 @@ def verify_offdiagonal_structure(
     H = spectral.require_psd(A, tol)
     if pi.size != H.shape[0]:
         raise ValueError("partition size does not match matrix")
-    scale = float(np.max(np.abs(H)))
+    scale = float(np.abs(H).max())
     if scale == 0.0:
         return True
     pairs = list(combinations(pi.blocks, 2))
@@ -389,7 +389,7 @@ def simultaneous_kernel(A, tol: float = 1e-9) -> SubspaceBasis:
     """
     H = spectral.require_psd(A, tol)
     N = H.shape[0]
-    peak = np.max(np.abs(H))
+    peak = np.abs(H).max()
     if peak > 0:
         H = H / peak
     # no Hermitian part: eigh reads only the lower triangle, exactly the

@@ -155,14 +155,14 @@ def test_rayleigh_zero_matrix_exit_3(capsys):
 def test_rayleigh_linalg_error_exit_3(capsys, monkeypatch):
     # LinAlgError subclasses ValueError: when the variational route's fallback
     # solve on the range of Hp fails as well, the command exits 3 with its message
-    import scipy.linalg
+    from entrywise import psd
 
     assert issubclass(np.linalg.LinAlgError, ValueError)
 
-    def failing_eigh(*args, **kwargs):
+    def failing_pair_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("generalized eigenproblem failed")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(psd, "_pair_eigh", failing_pair_eigh)
     code, out, err = run(capsys, "rayleigh", "--rank-one", "0.9,0.7", "--c", "1,1", "--M", "2")
     assert code == 3
     assert out == ""

@@ -214,6 +214,11 @@ ROWS = [
     ("rayleigh-variational-power-overflow",
      lambda: rayleigh_variational((1, 1), 2, np.full((2, 2), 1e200)),
      ValueError, "A^(oM) has a non-finite entry", None),
+    # A^(oM) and h_c[A] are finite, but their compressed forms overflow: a
+    # bare LAPACK call would return 0.0
+    ("rayleigh-variational-compressed-overflow",
+     lambda: rayleigh_variational((1, 1, 1, 1), 1, 3.7e102 * np.ones((4, 4))),
+     ValueError, "compressed Rayleigh pair has a non-finite entry", None),
     # experiments
     ("identity-which", lambda: run_identity_suite(IdentitySuiteConfig("nope")), ValueError,
      "unknown identity 'nope'; choose from ('pencil', 'cauchy-binet', 'decomposition', 'moments')",
@@ -243,8 +248,12 @@ def test_precondition_raises(call, kind, message):
         call()
 
 
-@pytest.mark.parametrize("row", ["lmi-overflow", "pd-refinement-overflow"])
-def test_loewner_overflow_raises_without_a_warning(row):
+@pytest.mark.parametrize("row", [
+    "positivity-overflow", "horn-overflow", "pd-refinement-overflow", "lmi-overflow",
+    "rayleigh-overflow", "rayleigh-variational-overflow", "rayleigh-power-overflow",
+    "rayleigh-variational-power-overflow", "rayleigh-variational-compressed-overflow",
+])
+def test_overflow_raises_without_a_warning(row):
     call, kind, message = next(r[1:4] for r in ROWS if r[0] == row)
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")

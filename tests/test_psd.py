@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entrywise import spectral
+from entrywise import psd, spectral
 from entrywise.psd import (
     discontinuity_probe,
     moore_penrose_sqrt,
@@ -261,18 +261,81 @@ def test_variational_handles_kernel():
     assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1))
 
 
+SINGULAR_FORM_SIZES = (3, 7, 13, 13, 13, 13, 14, 4)
+
+
+def _stratum(sizes, group, seed):
+    """A matrix of the stratum with consecutive blocks of the given sizes,
+    divided by its largest entry modulus."""
+    starts = np.cumsum((0,) + tuple(sizes[:-1]))
+    pi = IndexPartition(tuple(tuple(range(s, s + n)) for s, n in zip(starts, sizes)))
+    A = generate_in_stratum(pi, group, seed=seed)
+    return A / np.max(np.abs(A))
+
+
 def test_variational_on_unit_circle_stratum_with_singular_block_form():
     # the trivial-group blocks of a unit-circle stratum leave the compressed
     # h_c form singular at N = 80; the solve used to raise LinAlgError here
-    sizes = (3, 7, 13, 13, 13, 13, 14, 4)
-    starts = np.cumsum((0,) + sizes[:-1])
-    pi = IndexPartition(tuple(tuple(range(s, s + n)) for s, n in zip(starts, sizes)))
-    A = generate_in_stratum(pi, GroupTag.UNIT_CIRCLE, seed=9)
-    A = A / np.max(np.abs(A))
+    A = _stratum(SINGULAR_FORM_SIZES, GroupTag.UNIT_CIRCLE, seed=9)
     c = (1.0,) * 80
     v1 = rayleigh_constant(c, 82, A).value
     v2 = rayleigh_variational(c, 82, A).value
     assert abs(v1 - v2) <= 1e-5 * abs(v1)
+
+
+def _pair_solves(monkeypatch, c, M, A):
+    """The pairs rayleigh_variational(c, M, A) hands to psd._pair_eigh, in
+    order, each as (Ap, Bp, (w, W)), or (Ap, Bp, None) where it raised
+    LinAlgError."""
+    solve, calls = psd._pair_eigh, []
+
+    def recording(Ap, Bp):
+        try:
+            got = solve(Ap, Bp)
+        except np.linalg.LinAlgError:
+            calls.append((Ap, Bp, None))
+            raise
+        calls.append((Ap, Bp, got))
+        return got
+
+    monkeypatch.setattr(psd, "_pair_eigh", recording)
+    rayleigh_variational(c, M, A)
+    return calls
+
+
+def _assert_scipy_eigh_bits(calls):
+    import scipy.linalg
+
+    for Ap, Bp, got in calls:
+        try:
+            want = scipy.linalg.eigh(Ap, Bp)
+        except np.linalg.LinAlgError:
+            want = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("group", list(GroupTag))
+@pytest.mark.parametrize("N", [3, 5, 8, 13, 24, 48, 80])
+def test_pair_eigh_is_scipy_eigh_bit_for_bit(monkeypatch, group, N):
+    sizes = []
+    while sum(sizes) < N:  # blocks of sizes 1, 2, 3, 4, 1, 2, ...: several indicators
+        sizes.append(min(1 + len(sizes) % 4, N - sum(sizes)))
+    A = _stratum(sizes, group, seed=N)
+    calls = _pair_solves(monkeypatch, (1.0,) * N, N + 2, A)
+    assert calls and calls[-1][2] is not None
+    _assert_scipy_eigh_bits(calls)
+
+
+def test_pair_eigh_restricted_pair_is_scipy_eigh_bit_for_bit(monkeypatch):
+    A = _stratum(SINGULAR_FORM_SIZES, GroupTag.UNIT_CIRCLE, seed=9)
+    calls = _pair_solves(monkeypatch, (1.0,) * 80, 82, A)
+    # the compressed h_c form is singular, so the pair is solved again on its range
+    assert [got is None for *_, got in calls] == [True, False]
+    assert calls[1][0].shape[0] < calls[0][0].shape[0]
+    _assert_scipy_eigh_bits(calls)
 
 
 def test_rank_one_warns_on_coincident_coordinates():
