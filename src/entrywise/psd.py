@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -175,17 +176,28 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
     ``scipy.linalg.eigh``: a non-finite compressed form raises ValueError
     before LAPACK runs, and a failed solve raises LinAlgError (the first
     one is retried on the range of the compressed h_c[A]).
+
+    In the generic case every trivial-group block is a singleton: the
+    kernel is {0}, the indicators are the identity, and the pair is
+    A^(oM) and h_c[A] themselves, solved with no compression (products
+    with the identity are exact, so the bits are those of the compressed
+    pair).
     """
     A, hc, AM = _rayleigh_inputs(c, M, A, tol)
     N = A.shape[0]
     pi = strata._stratify(A, strata.GroupTag.TRIVIAL, tol)
-    sizes = [len(block) for block in pi.blocks]
-    cols = np.repeat(np.arange(len(sizes)), sizes)  # block of each listed index
-    Q = np.zeros((N, len(sizes)), dtype=complex)
-    Q[[i for block in pi.blocks for i in block], cols] = (1.0 / np.sqrt(sizes))[cols]
-    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, which _pair_eigh rejects
-        Ap = spectral.hermitian_part(Q.conj().T @ AM @ Q)
-        Hp = spectral.hermitian_part(Q.conj().T @ hc @ Q)
+    if len(pi.blocks) == N:  # all singletons: the identity basis, left out
+        basis = ()
+        Ap, Hp = spectral.hermitian_part(AM), spectral.hermitian_part(hc)
+    else:
+        sizes = [len(block) for block in pi.blocks]
+        cols = np.repeat(np.arange(len(sizes)), sizes)  # block of each listed index
+        Q = np.zeros((N, len(sizes)), dtype=complex)
+        Q[[i for block in pi.blocks for i in block], cols] = (1.0 / np.sqrt(sizes))[cols]
+        basis = (Q,)
+        with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, which _pair_eigh rejects
+            Ap = spectral.hermitian_part(Q.conj().T @ AM @ Q)
+            Hp = spectral.hermitian_part(Q.conj().T @ hc @ Q)
     try:
         w, W = _pair_eigh(Ap, Hp)
     except np.linalg.LinAlgError:
@@ -198,9 +210,12 @@ def rayleigh_variational(c: Sequence, M: int, A: np.ndarray, tol: float = 1e-9) 
             spectral.hermitian_part(R.conj().T @ Ap @ R),
             spectral.hermitian_part(R.conj().T @ Hp @ R),
         )
-        Q = Q @ R
+        # with no Q, R in the C order of the product Q R, as the layout
+        # sets how BLAS sums R W[:, idx]
+        basis += (R,) if basis else (np.ascontiguousarray(R),)
     idx = int(np.argmax(w))
-    return RayleighResult(float(w[idx]), _unit(Q @ W[:, idx]), "variational")
+    x = reduce(np.matmul, basis + (W[:, idx],))  # (Q R) W[:, idx], of the factors present
+    return RayleighResult(float(w[idx]), _unit(x), "variational")
 
 
 def _pair_eigh(Ap: np.ndarray, Bp: np.ndarray):

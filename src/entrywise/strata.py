@@ -130,9 +130,10 @@ def _related(H, group: GroupTag, tol: float, scale: float) -> np.ndarray:
         flat = ~(np.abs(np.multiply.outer(ds, ds) - (xs * xs + ys * ys)) > tol * ss * ss)
     if group is GroupTag.TRIVIAL:
         with np.errstate(over="ignore"):  # an inf spread exceeds the cut, as the exact one does
+            # |d_i - h_ij|; |d_j - h_ij| is its transpose, as h_ji = conj(h_ij)
+            D = np.hypot(d[:, None] - x, y)
             spread = np.maximum(
-                np.maximum(np.hypot(d[:, None] - x, y), np.hypot(d - x, y)),
-                np.maximum(np.abs(np.subtract.outer(d, d)), 2.0 * np.abs(y)),
+                np.maximum(D, D.T), np.maximum(np.abs(np.subtract.outer(d, d)), 2.0 * np.abs(y))
             )
         return flat & (spread <= cut)
     m_d, m_h = np.abs(d), np.hypot(x, y)
@@ -313,12 +314,14 @@ def stratify(A, group: GroupTag, tol: float = 1e-9) -> IndexPartition:
     an eigen-solve for a smaller tol or when the factorisation fails; neither,
     and no stratification when one under the same group and tol is kept, if
     A was the last matrix validated: see ``spectral``); the pair relation as
-    a few elementwise passes over N x N arrays; for all components of two or
-    more indices together, a fixed number of passes over their sum of b^2
-    entries that decide the orbit and rank tests.  Per component only what
-    those leave open costs more: all pairs of entries when their spread lies
-    between half the cut and the cut, and one SVD of the b x b block when the
-    rank-one certificate fails (always for a component that does not verify).
+    a few elementwise passes over N x N arrays, and nothing more when it
+    relates no pair, as for a generic A, whose partition is then all
+    singletons; for all components of two or more indices together, a fixed
+    number of passes over their sum of b^2 entries that decide the orbit and
+    rank tests.  Per component only what those leave open costs more: all
+    pairs of entries when their spread lies between half the cut and the
+    cut, and one SVD of the b x b block when the rank-one certificate fails
+    (always for a component that does not verify).
     """
     _require_group(group)
     return _stratify(spectral.require_psd(A, tol), group, tol)
@@ -337,6 +340,8 @@ def _partition(H, group: GroupTag, tol: float) -> IndexPartition:
     if scale == 0.0:
         return single_block_partition(N)
     related = _related(H, group, tol, scale)
+    if np.count_nonzero(related) == N:  # the diagonal alone: no pair is related
+        return singleton_partition(N)
     # component labels: each index takes the least label it is related to
     # (itself included, as the diagonal of related is set), then that
     # index's own label, until no label changes
@@ -359,15 +364,20 @@ def _partition(H, group: GroupTag, tol: float) -> IndexPartition:
 def verify_offdiagonal_structure(
     A, pi: IndexPartition, group: GroupTag, tol: float = 1e-9
 ) -> bool:
-    """Check rank <= 1 and single-orbit entries on every off-diagonal block of pi."""
+    """Check rank <= 1 and single-orbit entries on every off-diagonal block of pi.
+
+    A block of one entry, between two singletons of pi, is one orbit and of
+    rank at most one, so only the pairs with a larger block are tested: none
+    for the singleton partition.
+    """
     _require_group(group)
     H = spectral.require_psd(A, tol)
     if pi.size != H.shape[0]:
         raise ValueError("partition size does not match matrix")
+    pairs = [(bi, bj) for bi, bj in combinations(pi.blocks, 2) if len(bi) * len(bj) > 1]
     scale = float(np.abs(H).max())
-    if scale == 0.0:
+    if not pairs or scale == 0.0:
         return True
-    pairs = list(combinations(pi.blocks, 2))
     return all(_blocks_ok(H, [bi for bi, _ in pairs], [bj for _, bj in pairs], group, tol, scale))
 
 

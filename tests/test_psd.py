@@ -1,11 +1,13 @@
 """PSD utilities and the three routes to the extreme critical value."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entrywise import psd, spectral
+from entrywise import psd, spectral, strata
+from entrywise.matrixio import load_matrix_file
 from entrywise.psd import (
     discontinuity_probe,
     moore_penrose_sqrt,
@@ -317,13 +319,18 @@ def _assert_scipy_eigh_bits(calls):
                 assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _cycling_sizes(N):
+    """Block sizes 1, 2, 3, 4, 1, 2, ... summing to N: several indicators."""
+    sizes = []
+    while sum(sizes) < N:
+        sizes.append(min(1 + len(sizes) % 4, N - sum(sizes)))
+    return tuple(sizes)
+
+
 @pytest.mark.parametrize("group", list(GroupTag))
 @pytest.mark.parametrize("N", [3, 5, 8, 13, 24, 48, 80])
 def test_pair_eigh_is_scipy_eigh_bit_for_bit(monkeypatch, group, N):
-    sizes = []
-    while sum(sizes) < N:  # blocks of sizes 1, 2, 3, 4, 1, 2, ...: several indicators
-        sizes.append(min(1 + len(sizes) % 4, N - sum(sizes)))
-    A = _stratum(sizes, group, seed=N)
+    A = _stratum(_cycling_sizes(N), group, seed=N)
     calls = _pair_solves(monkeypatch, (1.0,) * N, N + 2, A)
     assert calls and calls[-1][2] is not None
     _assert_scipy_eigh_bits(calls)
@@ -336,6 +343,72 @@ def test_pair_eigh_restricted_pair_is_scipy_eigh_bit_for_bit(monkeypatch):
     assert [got is None for *_, got in calls] == [True, False]
     assert calls[1][0].shape[0] < calls[0][0].shape[0]
     _assert_scipy_eigh_bits(calls)
+
+
+def _variational_with_explicit_basis(c, M, A, tol=1e-9):
+    """(value, maximizer) of rayleigh_variational with the block-indicator
+    basis Q always built, the identity of an all-singleton stratification
+    included, and the pair always compressed by it: the reference that the
+    identity-basis short-cut must match bit for bit."""
+    A, hc, AM = psd._rayleigh_inputs(c, M, A, tol)
+    N = A.shape[0]
+    pi = strata._stratify(A, GroupTag.TRIVIAL, tol)
+    sizes = [len(block) for block in pi.blocks]
+    cols = np.repeat(np.arange(len(sizes)), sizes)  # block of each listed index
+    Q = np.zeros((N, len(sizes)), dtype=complex)
+    Q[[i for block in pi.blocks for i in block], cols] = (1.0 / np.sqrt(sizes))[cols]
+    with np.errstate(all="ignore"):  # an overflow leaves inf or NaN, which _pair_eigh rejects
+        Ap = spectral.hermitian_part(Q.conj().T @ AM @ Q)
+        Hp = spectral.hermitian_part(Q.conj().T @ hc @ Q)
+    try:
+        w, W = psd._pair_eigh(Ap, Hp)
+    except np.linalg.LinAlgError:
+        wh, Vh = np.linalg.eigh(Hp)
+        R = Vh[:, ~spectral.kernel_mask(wh, tol)]
+        w, W = psd._pair_eigh(
+            spectral.hermitian_part(R.conj().T @ Ap @ R),
+            spectral.hermitian_part(R.conj().T @ Hp @ R),
+        )
+        Q = Q @ R
+    idx = int(np.argmax(w))
+    return float(w[idx]), psd._unit(Q @ W[:, idx])
+
+
+def _variational_inputs():
+    """(name, c, M, A): inputs whose trivial-group stratification is all
+    singletons (unit-circle and C^x strata, the golden 3 x 3 matrix, a
+    rank-one ladder and the singular-form N = 80 stratum), and trivial-group
+    strata, which keep the block basis."""
+    out = []
+    for group in GroupTag:
+        for N in (3, 8, 24, 48):
+            c = tuple(np.linspace(0.5, 2.0, N))
+            out.append((f"{group.value}-N{N}", c, N + 2, _stratum(_cycling_sizes(N), group, N)))
+    psd3 = load_matrix_file(str(Path(__file__).parent / "golden" / "psd3.json"))[0]
+    out += [(f"golden-psd3-M{M}", (1.0, 0.5, 2.0), M, psd3) for M in (2, 3, 5)]
+    for N in range(3, 11):
+        u = 0.9 - 0.6 * np.arange(N) / N
+        out.append((f"rank-one-ladder-N{N}", (1.0,) * N, N + 2, np.outer(u, u)))
+    A = _stratum(SINGULAR_FORM_SIZES, GroupTag.UNIT_CIRCLE, seed=9)
+    out.append(("singular-form-N80", (1.0,) * 80, 82, A))
+    return out
+
+
+VARIATIONAL_INPUTS = _variational_inputs()
+
+
+@pytest.mark.parametrize(
+    "name,c,M,A", VARIATIONAL_INPUTS, ids=[name for name, *_ in VARIATIONAL_INPUTS]
+)
+def test_variational_identity_basis_is_bit_identical(monkeypatch, name, c, M, A):
+    singletons = len(stratify(A, GroupTag.TRIVIAL).blocks) == A.shape[0]
+    assert singletons != name.startswith("trivial")
+    got = rayleigh_variational(c, M, A)
+    want = _variational_with_explicit_basis(c, M, A)
+    assert got.value == want[0]
+    assert got.maximizer.dtype == want[1].dtype and got.maximizer.tobytes() == want[1].tobytes()
+    if name == "singular-form-N80":  # h_c[A] is singular: the pair is solved again on its range
+        assert [got is None for *_, got in _pair_solves(monkeypatch, c, M, A)] == [True, False]
 
 
 def test_rank_one_warns_on_coincident_coordinates():

@@ -257,6 +257,9 @@ def _other_matrices():
     for s in range(3):
         E = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         out.append((f"noisy-{s}", A + 1e-9 * (E + E.conj().T) / 2))
+    # generic: no pair related under any group, every stratification all singletons
+    for N in (24, 80):
+        out.append((f"wishart-N{N}-k{N}", _wishart(N, N, rng)))
     return out
 
 
@@ -287,6 +290,25 @@ def test_stratify_and_verify_match_reference(name, A, group):
         assert _outcome(verify_offdiagonal_structure, A, pi, group) == _outcome(
             ref_verify_offdiagonal_structure, A, pi, group
         )
+
+
+@pytest.mark.parametrize("N", [3, 8, 24])
+def test_generic_matrix_needs_no_block_kernel(monkeypatch, N):
+    """A generic Wishart matrix relates no pair under any group, so stratify
+    ends at the pair relation, and verify_offdiagonal_structure on the
+    singleton partition has only pairs of one-entry blocks: neither reaches
+    _blocks_ok, and both still give the references' answers."""
+    A = _wishart(N, N, np.random.default_rng(N))
+    pi = singleton_partition(N)
+    want = [(ref_stratify(A, g), ref_verify_offdiagonal_structure(A, pi, g)) for g in GROUPS]
+    assert all(got == pi for got, _ in want)
+
+    def kernel(*args):
+        raise AssertionError("_blocks_ok called")
+
+    monkeypatch.setattr(strata, "_blocks_ok", kernel)
+    spectral.clear_memo()  # no partition kept from an earlier call
+    assert [(stratify(A, g), verify_offdiagonal_structure(A, pi, g)) for g in GROUPS] == want
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.value)
